@@ -30,6 +30,7 @@ from .ensembles import (
     estimate_isotropy_defect,
     estimate_smallball_kappa0,
     generate_sample,
+    sub_seed,
     substream,
 )
 from .erm import (

@@ -1,9 +1,9 @@
 """Measurement ensembles and noise models for quadratic sensing.
 
 A sample is y_i = <a_i, x0>^2 + w_i with isotropic subgaussian rows a_i.
-All randomness flows through `substream`, which derives independent
-generators from (master seed, key) pairs, so adding or reordering consumers
-never perturbs anybody else's draws.
+All randomness flows through `substream` (or `sub_seed`, its integer-seed
+twin), which derives independent generators from (master seed, key) pairs,
+so adding or reordering consumers never perturbs anybody else's draws.
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ def substream(seed, *key):
     which they are consumed.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def sub_seed(seed, *key):
+    """Integer seed for consumer `key` of master seed `seed`, from the same
+    spawn keys as `substream`, for APIs that take a seed, not a generator."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
 @dataclass(frozen=True)

@@ -21,17 +21,24 @@ from .sets import project, random_feasible
 _TINY = 1e-300
 
 
+def _loss(z, y):
+    """(1/N) sum (z_i^2 - y_i)^2 for the predictions z = A x."""
+    return float(np.mean((z * z - y) ** 2))
+
+
+def _loss_gradient(A, z, y):
+    """(4/N) sum (z_i^2 - y_i) z_i a_i: the loss gradient at x, given z = A x."""
+    return (4.0 / A.shape[0]) * (A.T @ ((z * z - y) * z))
+
+
 def objective(sample, x):
     """(1/N) sum (<a_i,x>^2 - y_i)^2."""
-    z = sample.A @ np.asarray(x, dtype=float)
-    return float(np.mean((z * z - sample.y) ** 2))
+    return _loss(sample.A @ np.asarray(x, dtype=float), sample.y)
 
 
 def gradient(sample, x):
     """Analytic gradient: (4/N) sum (<a_i,x>^2 - y_i) <a_i,x> a_i."""
-    x = np.asarray(x, dtype=float)
-    z = sample.A @ x
-    return (4.0 / sample.N) * (sample.A.T @ ((z * z - sample.y) * z))
+    return _loss_gradient(sample.A, sample.A @ np.asarray(x, dtype=float), sample.y)
 
 
 def excess_loss_parts(sample, x, x0):
@@ -92,11 +99,15 @@ def _leading_eig(M, max_iter=200, rel_tol=1e-10):
     return lam, v
 
 
+def _spectral_start(lam, v):
+    """sqrt(max(lam, 0)) v: the rank-1 factor of the eigenpair, zero if lam <= 0."""
+    return math.sqrt(max(float(lam), 0.0)) * v
+
+
 def spectral_init(sample):
     """sqrt(max(lambda_1, 0)) times the leading eigenvector of
     (1/N) sum y_i a_i a_i^T."""
-    lam, v = _leading_eig(_spectral_matrix(sample))
-    return math.sqrt(max(lam, 0.0)) * v
+    return _spectral_start(*_leading_eig(_spectral_matrix(sample)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,44 +178,41 @@ def error_metrics(x_hat, x0):
     return d_minus * d_plus, d_plus, -1
 
 
-def _pgd_single(sample, cset, x_start, config, base_step):
-    """One projected-descent run; returns (x, f, iterations, converged)."""
-    rule = config.step_rule
-    x = np.asarray(x_start, dtype=float)
-    fx = objective(sample, x)
+def _descend(A, y, x, base_step, max_iter, tol, project=None, shrink=0.5, growth=1.1,
+             fixed=False):
+    """Descent of the loss from x, fixed or backtracking step, each step mapped by `project`.
+
+    None means no projection.  z = A @ x of the accepted point feeds the next gradient.
+    Returns (x, f, iterations, converged).
+    """
+    x = np.asarray(x, dtype=float)
+    z = A @ x
+    fx = _loss(z, y)
     step = base_step
-    iters = 0
-    converged = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.max_iterations):
-            iters += 1
-            g = gradient(sample, x)
-            if rule.kind == "fixed":
-                x_new = project(cset, x - step * g)
-                f_new = objective(sample, x_new)
-            else:
-                accepted = False
-                while True:
-                    x_new = project(cset, x - step * g)
-                    f_new = objective(sample, x_new)
-                    move2 = float(((x_new - x) ** 2).sum())
-                    if np.isfinite(f_new) and f_new <= fx - 1e-4 * move2 / max(step, _TINY):
-                        accepted = True
-                        break
-                    if step <= 1e-16 * base_step:
-                        break
-                    step *= rule.shrink
-                if not accepted:
-                    converged = True  # no descent available at the floor step
+        for iters in range(1, max_iter + 1):
+            g = _loss_gradient(A, z, y)
+            while True:
+                x_new = x - step * g
+                if project is not None:
+                    x_new = project(x_new)
+                z_new = A @ x_new
+                f_new = _loss(z_new, y)
+                if fixed:
                     break
+                move2 = float(((x_new - x) ** 2).sum())
+                if np.isfinite(f_new) and f_new <= fx - 1e-4 * move2 / max(step, _TINY):
+                    break
+                if step <= 1e-16 * base_step:
+                    return x, fx, iters, True  # no descent available at the floor step
+                step *= shrink
             move = float(np.linalg.norm(x_new - x))
-            x, fx = x_new, f_new
-            if move / max(step, _TINY) <= config.gradient_tolerance:
-                converged = True
-                break
-            if rule.kind == "backtracking":
-                step *= rule.growth
-    return x, fx, iters, converged
+            x, z, fx = x_new, z_new, f_new
+            if move / max(step, _TINY) <= tol:
+                return x, fx, iters, True
+            if not fixed:
+                step *= growth
+    return x, fx, max_iter, False
 
 
 def solve_pgd(sample, cset, config, seed):
@@ -212,19 +220,20 @@ def solve_pgd(sample, cset, config, seed):
 
     Restart 0 starts from the spectral initializer (projected into the set);
     the others from random feasible points rescaled to the initializer's
-    norm.  Returns the best run by objective value.
+    norm.  Returns the run with the smallest finite objective; if every run
+    diverged, restart 0's, marked not converged.
     """
     if sample.n != cset.n:
         raise ValueError(f"sample dimension {sample.n} != set dimension {cset.n}")
     lam1, v1 = _leading_eig(_spectral_matrix(sample))
-    init = math.sqrt(max(lam1, 0.0)) * v1
-    if config.step_rule.step is not None:
-        base_step = config.step_rule.step
+    rule = config.step_rule
+    if rule.step is not None:
+        base_step = rule.step
     else:
         base_step = 0.1 / lam1 if lam1 > 0 else 1.0
 
     rng = substream(seed, 0)
-    starts = [project(cset, init)]
+    starts = [project(cset, _spectral_start(lam1, v1))]
     norm0 = float(np.linalg.norm(starts[0]))
     for _ in range(config.restarts - 1):
         z = random_feasible(cset, rng, 1)[0]
@@ -233,63 +242,29 @@ def solve_pgd(sample, cset, config, seed):
             z = project(cset, z * (norm0 / nz))
         starts.append(z)
 
-    best_x, best_f, best_conv = None, math.inf, False
-    total_iters = 0
-    for s in starts:
-        x, fx, iters, conv = _pgd_single(sample, cset, s, config, base_step)
-        total_iters += iters
-        if fx < best_f or best_x is None:
-            best_x, best_f, best_conv = x, fx, conv
+    runs = [
+        _descend(sample.A, sample.y, s, base_step, config.max_iterations,
+                 config.gradient_tolerance, functools.partial(project, cset),
+                 rule.shrink, rule.growth, rule.kind == "fixed")
+        for s in starts
+    ]
+    # a diverged run never wins; if all diverged, min keeps restart 0
+    best_x, best_f, _, conv = min(runs, key=lambda r: r[1] if math.isfinite(r[1]) else math.inf)
     prod, sign, _ = error_metrics(best_x, sample.x0)
-    return TrialResult(best_x, best_f, prod, sign, total_iters, best_conv)
+    return TrialResult(best_x, best_f, prod, sign, sum(r[2] for r in runs),
+                       conv and math.isfinite(best_f))
 
 
 # ---------------------------------------------------------------------------
 # ground-truth oracle
 
 
-def _descent_on_columns(As, y, x, base_step, max_iter):
-    """Unconstrained backtracking descent of the restricted objective."""
-    N = As.shape[0]
-    z = As @ x
-    fx = float(np.mean((z * z - y) ** 2))
-    step = base_step
-    iters = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            iters += 1
-            z = As @ x
-            g = (4.0 / N) * (As.T @ ((z * z - y) * z))
-            accepted = False
-            while True:
-                x_new = x - step * g
-                zn = As @ x_new
-                f_new = float(np.mean((zn * zn - y) ** 2))
-                move2 = float(((x_new - x) ** 2).sum())
-                if np.isfinite(f_new) and f_new <= fx - 1e-4 * move2 / max(step, _TINY):
-                    accepted = True
-                    break
-                if step <= 1e-16 * base_step:
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            move = float(np.linalg.norm(x_new - x))
-            x, fx = x_new, f_new
-            if move / max(step, _TINY) <= 1e-12:
-                break
-            step *= 1.1
-    return x, fx, iters
-
-
 def _newton_polish(As, y, x, fx, max_iter=15):
     """A few damped Newton steps; only accepts strict objective decreases."""
     N = As.shape[0]
-    iters = 0
-    for _ in range(max_iter):
-        iters += 1
-        z = As @ x
-        g = (4.0 / N) * (As.T @ ((z * z - y) * z))
+    z = As @ x
+    for iters in range(1, max_iter + 1):
+        g = _loss_gradient(As, z, y)
         if float(np.linalg.norm(g)) <= 1e-15 * max(1.0, abs(fx)):
             break
         H = (4.0 / N) * ((As.T * (3.0 * z * z - y)) @ As)
@@ -302,9 +277,9 @@ def _newton_polish(As, y, x, fx, max_iter=15):
         for _ in range(30):
             x_new = x - t * delta
             zn = As @ x_new
-            f_new = float(np.mean((zn * zn - y) ** 2))
+            f_new = _loss(zn, y)
             if f_new < fx:
-                x, fx = x_new, f_new
+                x, z, fx = x_new, zn, f_new
                 improved = True
                 break
             t *= 0.5
@@ -397,7 +372,7 @@ def _gram_init(sol_row, d, iu):
     X[iu[0], iu[1]] = sol_row
     X[iu[1], iu[0]] = sol_row
     lam, V = np.linalg.eigh(X)
-    return math.sqrt(max(float(lam[-1]), 0.0)) * V[:, -1]
+    return _spectral_start(lam[-1], V[:, -1])
 
 
 def _solve_support(A, y, supp, x_init, max_iter):
@@ -406,12 +381,12 @@ def _solve_support(A, y, supp, x_init, max_iter):
         Ms = (As.T @ (y[:, None] * As)) / A.shape[0]
         lam, V = np.linalg.eigh(Ms)
         lam1 = float(lam[-1])
-        x_init = math.sqrt(max(lam1, 0.0)) * V[:, -1]
+        x_init = _spectral_start(lam1, V[:, -1])
         base_step = 0.1 / lam1 if lam1 > 0 else 1.0
     else:
         scale = float(x_init @ x_init)
         base_step = 0.1 / scale if scale > 0 else 1.0
-    x, fx, it1 = _descent_on_columns(As, y, x_init, base_step, max_iter)
+    x, fx, it1, _ = _descend(As, y, x_init, base_step, max_iter, 1e-12)
     x, fx, it2 = _newton_polish(As, y, x, fx)
     return x, fx, it1 + it2
 

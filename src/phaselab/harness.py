@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ensembles import Ensemble, NoiseModel, generate_sample
+from .ensembles import Ensemble, NoiseModel, generate_sample, sub_seed, substream
 from .erm import SolverConfig, StepRule, solve_oracle, solve_pgd
 from .errors import BudgetExceededError, ConfigError, InsufficientDataError
-from .sets import ConstraintSet, _l1_display, _sub_seed, _toward_shell, random_feasible
+from .sets import ConstraintSet, l1_display, random_feasible, toward_shell
 
 REGIMES = ("noise_free_r0", "high_noise_r2", "large_signal_sN", "small_signal_vN", "low_snr_rN")
 
@@ -73,7 +73,7 @@ def predict_rate_l1(n, N, sigma, R0):
     if sigma < 0 or R0 < 0:
         raise ValueError("sigma and R0 must be >= 0")
     inputs = {"n": n, "N": N, "sigma": sigma, "R0": R0}
-    r_star = _l1_display("rN", 1.0, N, n)
+    r_star = l1_display("rN", 1.0, N, n)
     if sigma == 0.0:
         return RatePrediction(r_star, r_star * max(R0, r_star), "noise_free_r0", inputs)
     log_n_obs = math.log(N)
@@ -82,9 +82,9 @@ def predict_rate_l1(n, N, sigma, R0):
         return RatePrediction(r_star, r_star * max(R0, r_star), "low_snr_rN", inputs)
     slog = sigma * math.sqrt(log_n_obs)
     zeta = 1.0 / slog
-    v_star = _l1_display("vN", zeta, N, n)
+    v_star = l1_display("vN", zeta, N, n)
     if R0 >= v_star:
-        rate = _l1_display("sN", R0 / slog, N, n)
+        rate = l1_display("sN", R0 / slog, N, n)
         regime = "large_signal_sN"
     else:
         rate = v_star
@@ -205,9 +205,7 @@ def _draw_x0(config, cell_index, trial):
     n = cset.n
     if spec.mode == "explicit":
         return np.array(spec.vector, dtype=float)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(config.master_seed, spawn_key=(cell_index, trial, 0))
-    )
+    rng = substream(config.master_seed, cell_index, trial, 0)
     if spec.R0 == 0.0:
         return np.zeros(n)
     if spec.mode == "random_sparse":
@@ -221,7 +219,7 @@ def _draw_x0(config, cell_index, trial):
         return x0
     # random_on_shell
     z = random_feasible(cset, rng, 1)
-    z = _toward_shell(cset, z, spec.R0, iters=200)[0]
+    z = toward_shell(cset, z, spec.R0, iters=200)[0]
     nrm = float(np.linalg.norm(z))
     if abs(nrm - spec.R0) > 1e-8 * max(1.0, spec.R0):
         raise ValueError(
@@ -234,8 +232,8 @@ def _run_task(args):
     config, N, sigma, cell_index, trial = args
     x0 = _draw_x0(config, cell_index, trial)
     noise = NoiseModel("none") if sigma == 0.0 else NoiseModel(config.noise.kind, sigma)
-    sample_seed = _sub_seed(config.master_seed, cell_index, trial, 1)
-    solver_seed = _sub_seed(config.master_seed, cell_index, trial, 2)
+    sample_seed = sub_seed(config.master_seed, cell_index, trial, 1)
+    solver_seed = sub_seed(config.master_seed, cell_index, trial, 2)
     sample = generate_sample(x0, config.ensemble, noise, N, sample_seed)
     solve = solve_oracle if config.solver.kind == "oracle" else solve_pgd
     try:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensembles import sub_seed
 from .errors import UnsupportedSetError
 
 SET_KINDS = ("sparse_cap", "l1_ball", "l2_ball", "ambient")
@@ -306,10 +307,6 @@ class McConfig:
     centers: int = 4
 
 
-def _sub_seed(seed, *key):
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
-
-
 def _max_norm(cset):
     if cset.kind in ("l1_ball", "l2_ball"):
         return cset.radius
@@ -375,7 +372,7 @@ def _inf_by_bisection(cond, r_start):
     return hi
 
 
-def _l1_display(functional, level, N, n):
+def l1_display(functional, level, N, n):
     """Fixed points of the unit-l1-ball width formulas (constants 1)."""
     if functional == "rN":
         a = level * level * N
@@ -398,7 +395,7 @@ def _fp_l1_closed(cset, query):
     # level rescaled by rho^(p-1)
     p = _EXPONENT[query.functional]
     rho = cset.radius
-    return rho * _l1_display(query.functional, query.level * rho ** (p - 1), query.N, cset.n)
+    return rho * l1_display(query.functional, query.level * rho ** (p - 1), query.N, cset.n)
 
 
 def _fp_homogeneous(cset, query, mc, closed_form):
@@ -448,13 +445,15 @@ def _fp_bisect(cset, query, mc):
 def _shell_points(cset, R0, count, rng):
     """Points of the set with ||x|| within 1% of R0, by alternating steps."""
     X = random_feasible(cset, rng, max(4 * count, 16))
-    X = _toward_shell(cset, X, R0)
+    X = toward_shell(cset, X, R0)
     nrm = np.linalg.norm(X, axis=1)
     ok = np.abs(nrm - R0) <= 0.01 * R0
     return X[ok][:count]
 
 
-def _toward_shell(cset, X, R0, iters=50):
+def toward_shell(cset, X, R0, iters=50):
+    """Rows of X moved toward the shell ||x|| = R0 of the set: `iters` rounds
+    of rescaling to norm R0 and projecting back."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     for _ in range(iters):
         nrm = np.linalg.norm(X, axis=1, keepdims=True)
@@ -468,12 +467,12 @@ def _fp_packing(cset, query, mc):
     R0 = query.shell_R0
     if R0 > _max_norm(cset) * (1.0 + 1e-12):
         raise ValueError(f"shell_R0={R0} exceeds the set's largest norm {_max_norm(cset)}")
-    centers = _shell_points(cset, R0, mc.centers, np.random.default_rng(_sub_seed(mc.seed, 7)))
+    centers = _shell_points(cset, R0, mc.centers, np.random.default_rng(sub_seed(mc.seed, 7)))
     if centers.shape[0] == 0:
         raise ValueError(f"no shell points found at R0={R0} for kind {cset.kind!r}")
     p = _EXPONENT[query.functional]
     root_n = math.sqrt(query.N)
-    seeds = [_sub_seed(mc.seed, 11, ci) for ci in range(centers.shape[0])]
+    seeds = [sub_seed(mc.seed, 11, ci) for ci in range(centers.shape[0])]
 
     def phi(r):
         best = 1
@@ -590,7 +589,7 @@ def _sample_candidates(cset, center, ball_radius, shell_R0, count, seed):
     radii = ball_radius * rng.uniform(size=count) ** (1.0 / n)
     X = center[None, :] + D * radii[:, None]
     if shell_R0 is not None and shell_R0 > 0:
-        X = _toward_shell(cset, X, shell_R0)
+        X = toward_shell(cset, X, shell_R0)
     else:
         X = _project_batch(cset, X)
     return np.vstack([center[None, :], X])

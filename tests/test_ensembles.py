@@ -9,6 +9,7 @@ from phaselab import (
     estimate_isotropy_defect,
     estimate_smallball_kappa0,
     generate_sample,
+    sub_seed,
     substream,
 )
 
@@ -21,6 +22,11 @@ def test_substream_reproducible_and_independent():
     c = substream(7, 1).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # sub_seed: same keys, same integer; the values are pinned, since every
+    # sample and solver seed of an experiment table is derived with it
+    assert sub_seed(7, 0) == sub_seed(7, 0) == 1201125462
+    assert sub_seed(7, 1) == 3618983171
+    assert sub_seed(7, 3, 2, 1) == 2608898304
 
 
 def test_ensemble_validation():

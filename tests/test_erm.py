@@ -2,8 +2,10 @@
 
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from phaselab import (
     BudgetExceededError,
@@ -18,8 +20,11 @@ from phaselab import (
     excess_loss_parts,
     generate_sample,
     gradient,
+    l1_ball,
+    l2_ball,
     objective,
     project,
+    random_feasible,
     solve_oracle,
     solve_pgd,
     sparse_cap,
@@ -265,6 +270,39 @@ def test_pgd_never_increases_from_its_start():
         res = solve_pgd(s, cset, SolverConfig(restarts=1), seed=trial)
         assert res.objective_value <= objective(s, start) + 1e-12
         assert res.iterations_used >= 1
+
+
+@pytest.mark.parametrize(
+    "cset", [sparse_cap(6, 2), l1_ball(6, 1.5), l2_ball(6, 2.0), ambient(6)],
+    ids=lambda c: c.kind,
+)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(8, 60),
+       sigma=st.sampled_from([0.0, 0.1, 1.0]), restarts=st.integers(1, 3))
+def test_pgd_never_ends_above_its_projected_spectral_start(cset, seed, N, sigma, restarts):
+    # backtracking only accepts decreases, and the best restart can only be lower
+    x0 = random_feasible(cset, np.random.default_rng(seed), 1)[0]
+    noise = NoiseModel("gaussian", sigma) if sigma > 0 else QUIET
+    s = generate_sample(x0, GAUSS(6), noise, N, seed=seed)
+    f_start = objective(s, project(cset, spectral_init(s)))
+    res = solve_pgd(s, cset, SolverConfig(restarts=restarts), seed=seed)
+    assert res.objective_value <= f_start + 1e-12 * max(1.0, f_start)
+
+
+def test_pgd_diverged_first_restart_never_wins():
+    # from the spectral start this fixed step diverges to a NaN objective,
+    # while restarts 6 and 7 reach zero; only a finite objective may win
+    x0 = np.ones(8) / np.sqrt(8)
+    s = generate_sample(x0, GAUSS(8), QUIET, 64, seed=1)
+    config = SolverConfig(step_rule=StepRule("fixed", 0.05), restarts=8)
+    res = solve_pgd(s, ambient(8), config, seed=3)
+    assert np.all(np.isfinite(res.x_hat))
+    assert res.objective_value <= 1e-12
+    assert res.sign_error <= 1e-6
+    # with every restart diverged, restart 0 is reported, not converged
+    alone = solve_pgd(s, ambient(8), SolverConfig(step_rule=config.step_rule), seed=3)
+    assert not math.isfinite(alone.objective_value)
+    assert not alone.converged
 
 
 def test_pgd_fixed_step_rule_runs():

@@ -3,8 +3,11 @@
 import itertools
 import math
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from phaselab import (
     ConstraintSet,
@@ -26,6 +29,7 @@ from phaselab import (
 )
 
 ALL_KINDS = [sparse_cap(6, 2), l1_ball(6, 1.5), l2_ball(6, 2.0), ambient(6)]
+CONVEX_KINDS = [c for c in ALL_KINDS if c.kind != "sparse_cap"]
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +95,16 @@ def test_project_idempotent_and_feasible(cset):
         p = project(cset, x)
         assert contains(cset, p, tol=1e-8)
         np.testing.assert_allclose(project(cset, p), p, atol=1e-10)
+
+
+@pytest.mark.parametrize("cset", CONVEX_KINDS, ids=lambda c: c.kind)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=hnp.arrays(float, 6, elements=st.floats(-10, 10)),
+       y=hnp.arrays(float, 6, elements=st.floats(-10, 10)))
+def test_project_is_non_expansive(cset, x, y):
+    # projection onto a closed convex set is 1-Lipschitz
+    gap = np.linalg.norm(project(cset, x) - project(cset, y))
+    assert gap <= np.linalg.norm(x - y) * (1.0 + 1e-12) + 1e-12
 
 
 def test_project_is_nearest_feasible_point():
