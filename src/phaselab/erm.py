@@ -22,18 +22,24 @@ _TINY = 1e-300
 
 
 def _loss(z, y):
-    """(1/N) sum (z_i^2 - y_i)^2 for the predictions z = A x."""
-    return float(np.mean((z * z - y) ** 2))
+    """(1/N) sum (z_i^2 - y_i)^2 for the predictions z = A x; one value per row of a stack."""
+    r = z * z
+    r -= y
+    r *= r
+    return r.sum(axis=-1) / r.shape[-1]
 
 
 def _loss_gradient(A, z, y):
-    """(4/N) sum (z_i^2 - y_i) z_i a_i: the loss gradient at x, given z = A x."""
-    return (4.0 / A.shape[0]) * (A.T @ ((z * z - y) * z))
+    """(4/N) sum (z_i^2 - y_i) z_i a_i: the loss gradient at x, given z = A x; row-wise."""
+    r = z * z
+    r -= y
+    r *= z
+    return (4.0 / A.shape[0]) * (r @ A)
 
 
 def objective(sample, x):
     """(1/N) sum (<a_i,x>^2 - y_i)^2."""
-    return _loss(sample.A @ np.asarray(x, dtype=float), sample.y)
+    return float(_loss(sample.A @ np.asarray(x, dtype=float), sample.y))
 
 
 def gradient(sample, x):
@@ -178,41 +184,47 @@ def error_metrics(x_hat, x0):
     return d_minus * d_plus, d_plus, -1
 
 
-def _descend(A, y, x, base_step, max_iter, tol, project=None, shrink=0.5, growth=1.1,
+def _descend(A, y, X, base_step, max_iter, tol, project=None, shrink=0.5, growth=1.1,
              fixed=False):
-    """Descent of the loss from x, fixed or backtracking step, each step mapped by `project`.
+    """Descent of the loss from each row of X, fixed or backtracking step, mapped by `project`.
 
-    None means no projection.  z = A @ x of the accepted point feeds the next gradient.
-    Returns (x, f, iterations, converged).
+    None means no projection.  Each row keeps its own step size, accept/reject test, exits
+    and iteration count; the live rows share one product with A per trial step and one per
+    gradient, and a row leaves them when it finishes.  Returns per-row (X, f, iterations,
+    converged).
     """
-    x = np.asarray(x, dtype=float)
-    z = A @ x
-    fx = _loss(z, y)
-    step = base_step
+    x = np.array(X, dtype=float, ndmin=2)
+    k = x.shape[0]
+    X, f, iters, conv = np.empty_like(x), np.empty(k), np.empty(k, dtype=int), np.empty(k, bool)
+    live, step, it = np.arange(k), np.full(k, float(base_step)), np.ones(k, dtype=int)
+    z = x @ A.T
+    fx, g = _loss(z, y), _loss_gradient(A, z, y)
     with np.errstate(over="ignore", invalid="ignore"):
-        for iters in range(1, max_iter + 1):
-            g = _loss_gradient(A, z, y)
-            while True:
-                x_new = x - step * g
-                if project is not None:
-                    x_new = project(x_new)
-                z_new = A @ x_new
-                f_new = _loss(z_new, y)
-                if fixed:
-                    break
-                move2 = float(((x_new - x) ** 2).sum())
-                if np.isfinite(f_new) and f_new <= fx - 1e-4 * move2 / max(step, _TINY):
-                    break
-                if step <= 1e-16 * base_step:
-                    return x, fx, iters, True  # no descent available at the floor step
-                step *= shrink
-            move = float(np.linalg.norm(x_new - x))
-            x, z, fx = x_new, z_new, f_new
-            if move / max(step, _TINY) <= tol:
-                return x, fx, iters, True
-            if not fixed:
-                step *= growth
-    return x, fx, max_iter, False
+        while live.size:
+            x_new = x - step[:, None] * g
+            if project is not None:
+                x_new = project(x_new)
+            z = x_new @ A.T
+            f_new = _loss(z, y)
+            move2 = ((x_new - x) ** 2).sum(axis=1)
+            s = np.maximum(step, _TINY)
+            ok = fixed | (np.isfinite(f_new) & (f_new <= fx - 1e-4 * move2 / s))
+            x, fx = np.where(ok[:, None], x_new, x), np.where(ok, f_new, fx)
+            # converged: an accepted step within tol, or a rejected one at the floor step
+            stop = np.where(ok, np.sqrt(move2) / s <= tol, step <= 1e-16 * base_step)
+            done = stop | (ok & (it == max_iter))
+            if done.any():
+                rows, keep = live[done], ~done
+                X[rows], f[rows] = x[done], fx[done]
+                iters[rows], conv[rows] = it[done], stop[done]
+                live, x, fx, step, it, ok, z, g = (v[keep] for v in (live, x, fx, step, it, ok, z, g))
+            step = step * np.where(ok, 1.0 if fixed else growth, shrink)
+            it += ok
+            if ok.all():
+                g = _loss_gradient(A, z, y)
+            elif ok.any():
+                g[ok] = _loss_gradient(A, z[ok], y)
+    return X, f, iters, conv
 
 
 def solve_pgd(sample, cset, config, seed):
@@ -242,17 +254,15 @@ def solve_pgd(sample, cset, config, seed):
             z = project(cset, z * (norm0 / nz))
         starts.append(z)
 
-    runs = [
-        _descend(sample.A, sample.y, s, base_step, config.max_iterations,
-                 config.gradient_tolerance, functools.partial(project, cset),
-                 rule.shrink, rule.growth, rule.kind == "fixed")
-        for s in starts
-    ]
-    # a diverged run never wins; if all diverged, min keeps restart 0
-    best_x, best_f, _, conv = min(runs, key=lambda r: r[1] if math.isfinite(r[1]) else math.inf)
-    prod, sign, _ = error_metrics(best_x, sample.x0)
-    return TrialResult(best_x, best_f, prod, sign, sum(r[2] for r in runs),
-                       conv and math.isfinite(best_f))
+    X, f, iters, conv = _descend(
+        sample.A, sample.y, np.array(starts), base_step, config.max_iterations,
+        config.gradient_tolerance, functools.partial(project, cset),
+        rule.shrink, rule.growth, rule.kind == "fixed")
+    # a diverged run never wins; if all diverged, argmin keeps restart 0
+    best = int(np.argmin(np.where(np.isfinite(f), f, np.inf)))
+    prod, sign, _ = error_metrics(X[best], sample.x0)
+    return TrialResult(X[best], float(f[best]), prod, sign, int(iters.sum()),
+                       bool(conv[best]) and math.isfinite(f[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +396,9 @@ def _solve_support(A, y, supp, x_init, max_iter):
     else:
         scale = float(x_init @ x_init)
         base_step = 0.1 / scale if scale > 0 else 1.0
-    x, fx, it1, _ = _descend(As, y, x_init, base_step, max_iter, 1e-12)
-    x, fx, it2 = _newton_polish(As, y, x, fx)
-    return x, fx, it1 + it2
+    X, f, it1, _ = _descend(As, y, x_init, base_step, max_iter, 1e-12)
+    x, fx, it2 = _newton_polish(As, y, X[0], f[0])
+    return x, float(fx), int(it1[0]) + it2
 
 
 def _oracle_sparse(sample, cset, config):

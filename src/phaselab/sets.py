@@ -133,9 +133,11 @@ def _project_batch(cset, X):
 
 
 def project(cset, x):
-    """Euclidean projection of x onto the set."""
-    x = _check_vector(cset, x)
-    return _project_batch(cset, x[None, :])[0]
+    """Euclidean projection of x onto the set; each row of a (k, n) stack on its own."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2 and x.shape[1] == cset.n:
+        return _project_batch(cset, x)
+    return _project_batch(cset, _check_vector(cset, x)[None, :])[0]
 
 
 def random_feasible(cset, rng, count=1):

@@ -1,5 +1,6 @@
 """Quartic ERM machinery: losses, gradients, solvers, error metrics."""
 
+import functools
 import math
 
 import hypothesis.strategies as st
@@ -16,6 +17,7 @@ from phaselab import (
     StepRule,
     ambient,
     contains,
+    erm,
     error_metrics,
     excess_loss_parts,
     generate_sample,
@@ -287,6 +289,36 @@ def test_pgd_never_ends_above_its_projected_spectral_start(cset, seed, N, sigma,
     f_start = objective(s, project(cset, spectral_init(s)))
     res = solve_pgd(s, cset, SolverConfig(restarts=restarts), seed=seed)
     assert res.objective_value <= f_start + 1e-12 * max(1.0, f_start)
+
+
+@pytest.mark.parametrize(
+    "cset", [sparse_cap(6, 2), l1_ball(6, 1.5), l2_ball(6, 2.0), ambient(6)],
+    ids=lambda c: c.kind,
+)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6), sigma=st.sampled_from([0.1, 1.0]))
+def test_batched_descent_rows_are_independent(cset, seed, k, sigma):
+    # a row of the batched kernel ends where it ends when run alone, and
+    # permuting the start rows permutes the results
+    rng = np.random.default_rng(seed)
+    x0 = random_feasible(cset, rng, 1)[0]
+    s = generate_sample(x0, GAUSS(6), NoiseModel("gaussian", sigma), 40, seed=seed)
+    starts = project(cset, 2.0 * rng.standard_normal((k, 6)))
+    base_step = 0.1 / max(float(spectral_init(s) @ spectral_init(s)), 1e-12)
+
+    def run(X):
+        return erm._descend(s.A, s.y, X, base_step, 200, 1e-8,
+                            functools.partial(project, cset))
+
+    _, f, _, conv = run(starts)
+    for i in range(k):
+        _, f_i, _, conv_i = run(starts[i])
+        assert f_i[0] == pytest.approx(f[i], rel=1e-10)
+        assert conv_i[0] == conv[i]
+    perm = rng.permutation(k)
+    _, f_perm, _, conv_perm = run(starts[perm])
+    np.testing.assert_allclose(f_perm, f[perm], rtol=1e-10)
+    np.testing.assert_array_equal(conv_perm, conv[perm])
 
 
 def test_pgd_diverged_first_restart_never_wins():

@@ -22,6 +22,7 @@ from phaselab import (
     config_to_dict,
     export_results,
     fit_slope,
+    l1_ball,
     l2_ball,
     load_config,
     load_results,
@@ -248,23 +249,25 @@ def test_noise_free_sparse_recovery_run():
 
 
 def test_run_is_deterministic_and_thread_invariant():
-    config = _sparse_config(
-        constraint_set=l2_ball(6, 2.0),
-        ensemble=Ensemble("standard_gaussian", 6),
-        noise=NoiseModel("gaussian"),
-        x0_spec=X0Spec(mode="random_on_shell", R0=1.0),
-        N_grid=(40, 60),
-        sigma_grid=(0.0, 0.5),
-        trials_per_cell=2,
-        solver=SolverSpec(kind="pgd", config=SolverConfig(restarts=2)),
-    )
-    a = run_experiment(config, threads=1)
-    b = run_experiment(config, threads=1)
-    c = run_experiment(config, threads=2)
-    assert a == b
-    assert a == c
-    assert len(a.rows) == 2 * 2 * 2
-    assert {(r.N, r.sigma) for r in a.rows} == {(40, 0.0), (40, 0.5), (60, 0.0), (60, 0.5)}
+    # tables are identical for any worker count, for every set kind
+    for cset in (sparse_cap(6, 2), l1_ball(6, 1.5), l2_ball(6, 2.0), ambient(6)):
+        config = _sparse_config(
+            constraint_set=cset,
+            ensemble=Ensemble("standard_gaussian", 6),
+            noise=NoiseModel("gaussian"),
+            x0_spec=X0Spec(mode="random_on_shell", R0=1.0),
+            N_grid=(40, 60),
+            sigma_grid=(0.0, 0.5),
+            trials_per_cell=2,
+            solver=SolverSpec(kind="pgd", config=SolverConfig(restarts=3)),
+        )
+        a = run_experiment(config, threads=1)
+        b = run_experiment(config, threads=1)
+        c = run_experiment(config, threads=2)
+        assert a == b, cset.kind
+        assert a == c, cset.kind
+        assert len(a.rows) == 2 * 2 * 2
+        assert {(r.N, r.sigma) for r in a.rows} == {(40, 0.0), (40, 0.5), (60, 0.0), (60, 0.5)}
 
 
 def test_zero_signal_rows_square_the_sign_error():

@@ -97,6 +97,23 @@ def test_project_idempotent_and_feasible(cset):
         np.testing.assert_allclose(project(cset, p), p, atol=1e-10)
 
 
+@pytest.mark.parametrize("cset", ALL_KINDS, ids=lambda c: c.kind)
+def test_project_stack_equals_row_by_row(cset):
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((30, cset.n)) * 3.0
+    X[:10] /= 30.0  # some rows already feasible
+    P = project(cset, X)
+    assert P.shape == X.shape
+    np.testing.assert_array_equal(P, np.array([project(cset, x) for x in X]))
+    assert project(cset, X[:0]).shape == (0, cset.n)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (7,), (3, 5), (2, 3, 6), (6, 1)])
+def test_project_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match="expected a vector of length 6"):
+        project(l2_ball(6, 1.0), np.zeros(shape))
+
+
 @pytest.mark.parametrize("cset", CONVEX_KINDS, ids=lambda c: c.kind)
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(x=hnp.arrays(float, 6, elements=st.floats(-10, 10)),
