@@ -79,15 +79,17 @@ def _check_vector(cset, x):
 
 
 def contains(cset, x, tol=1e-9):
-    """Membership test with additive tolerance `tol`."""
-    x = _check_vector(cset, x)
+    """Membership test with additive tolerance `tol`; a (k, n) stack gets one flag per row."""
+    x = np.asarray(x, dtype=float)
+    if not (x.ndim == 2 and x.shape[1] == cset.n):
+        return bool(contains(cset, _check_vector(cset, x)[None, :], tol)[0])
     if cset.kind == "ambient":
-        return True
+        return np.ones(x.shape[0], dtype=bool)
     if cset.kind == "sparse_cap":
-        return int((np.abs(x) > tol).sum()) <= cset.d
+        return (np.abs(x) > tol).sum(axis=1) <= cset.d
     if cset.kind == "l1_ball":
-        return float(np.abs(x).sum()) <= cset.radius + tol
-    return float(np.linalg.norm(x)) <= cset.radius + tol
+        return np.abs(x).sum(axis=1) <= cset.radius + tol
+    return np.linalg.norm(x, axis=1) <= cset.radius + tol
 
 
 # ---------------------------------------------------------------------------
@@ -173,33 +175,56 @@ def _topd_energy(absG, d):
     return (part * part).sum(axis=1)
 
 
+def _sorted_form(G):
+    """|G| sorted descending per row, and the prefix sums of it and its square."""
+    B = -np.sort(-np.abs(G), axis=1)
+    return B, np.cumsum(B, axis=1), np.cumsum(B * B, axis=1)
+
+
 def _l1_dual_from_sorted(radius, r, B, S1, S2):
     """Exact sup over the l1(radius)-ball cap of radius r, per row.
 
     B holds |g| sorted descending per row, S1/S2 the prefix sums of B and
-    B^2.  Strong duality gives value = min over lam >= 0 of
-    lam*radius + r*||(|g| - lam)_+||_2; the dual is piecewise smooth between
-    breakpoints, so the minimum is attained at a breakpoint or at the
-    closed-form stationary point of one piece.
+    B^2.  By strong duality the value is min over lam >= 0 of the convex
+    F(lam) = lam*radius + r*||(|g| - lam)_+||_2, smooth on each piece
+    [B[k], B[k-1]] (k active entries, B[n] = 0).  A bisection per row over
+    k, log2(n) rounds of O(m) gathers, finds the first breakpoint with
+    F'(B[k]) <= 0.  The value is the least of radius*||g||_inf, F at both
+    ends of piece k, and F at the piece's closed-form stationary point when
+    that lies on the piece and k > (radius/r)^2.  O(m log n) time, O(m) memory.
     """
     m, n = B.shape
-    k = np.arange(1, n + 1, dtype=float)
     q = (radius / r) ** 2
+    rows = np.arange(m) * n
 
-    h = np.maximum(S2 - 2.0 * B * S1 + k * B * B, 0.0)
-    best = np.minimum(r * np.sqrt(S2[:, -1]), (B * radius + r * np.sqrt(h)).min(axis=1))
+    def piece(k):
+        # sum and sum of squares of the k largest entries, B[k-1], and B[k] (0 at k = n)
+        i = rows + k - 1
+        below = np.where(k < n, B.take(np.minimum(i + 1, m * n - 1)), 0.0)
+        return S1.take(i), S2.take(i), B.take(i), below
+
+    # binary lifting to the last k with F'(B[k]) > 0; h = 0 is a tied top, not crossed
+    k = np.zeros(m, dtype=np.intp)
+    for step in 1 << np.arange(n.bit_length())[::-1]:
+        trial = np.minimum(k + step, n)
+        s1, s2, _, lam = piece(trial)
+        h = s2 - 2.0 * lam * s1 + trial * lam * lam
+        crossed = ((s1 - trial * lam) ** 2 >= q * h) & (h > 0.0)
+        k = np.where((k + step <= n) & ~crossed, trial, k)
+    k = np.minimum(k + 1, n)
+    s1, s2, upper, lower = piece(k)
+
+    def dual(lam):
+        # F on piece k.  Where the piece's entries tie, h cancels to rounding and
+        # F comes out low; ||u||_2 >= ||u||_1 / sqrt(k) bounds it without cancelling
+        h = np.maximum(s2 - 2.0 * lam * s1 + k * lam * lam, 0.0)
+        return lam * radius + r * np.maximum(np.sqrt(h), (s1 - k * lam) / np.sqrt(k))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        disc = q * np.maximum(k * S2 - S1 * S1, 0.0) / (k - q)
-        lam = (S1 - np.sqrt(np.maximum(disc, 0.0))) / k
-    lower = np.concatenate([B[:, 1:], np.zeros((m, 1))], axis=1)
-    ok = (k > q) & np.isfinite(lam) & (lam >= lower) & (lam <= B) & (lam >= 0.0)
-    if ok.any():
-        lam = np.where(ok, lam, 0.0)
-        h = np.maximum(S2 - 2.0 * lam * S1 + k * lam * lam, 0.0)
-        vals = np.where(ok, lam * radius + r * np.sqrt(h), np.inf)
-        best = np.minimum(best, vals.min(axis=1))
-    return best
+        disc = q * np.maximum(k * s2 - s1 * s1, 0.0) / (k - q)
+        lam = (s1 - np.sqrt(np.maximum(disc, 0.0))) / k
+    lam = np.where((k > q) & (lam >= lower) & (lam <= upper), lam, upper)
+    return np.min([B[:, 0] * radius, dual(upper), dual(lower), dual(lam)], axis=0)
 
 
 def _support_batch(cset, r, G):
@@ -210,9 +235,7 @@ def _support_batch(cset, r, G):
         return min(r, cset.radius) * np.linalg.norm(G, axis=1)
     if cset.kind == "sparse_cap":
         return r * np.sqrt(_topd_energy(np.abs(G), cset.d))
-    absG = np.abs(G)
-    B = -np.sort(-absG, axis=1)
-    return _l1_dual_from_sorted(cset.radius, r, B, np.cumsum(B, axis=1), np.cumsum(B * B, axis=1))
+    return _l1_dual_from_sorted(cset.radius, r, *_sorted_form(G))
 
 
 def support_function_cap(cset, r, g):
@@ -329,12 +352,8 @@ def _make_width_evaluator(cset, backend, mc):
     rng = np.random.default_rng(mc.seed)
     G = rng.standard_normal((mc.draws, cset.n))
     if cset.kind == "l1_ball":
-        absG = np.abs(G)
-        B = -np.sort(-absG, axis=1)
-        S1 = np.cumsum(B, axis=1)
-        S2 = np.cumsum(B * B, axis=1)
-        rad = cset.radius
-        return lambda rr: float(_l1_dual_from_sorted(rad, rr, B, S1, S2).mean())
+        sorted_form = _sorted_form(G)
+        return lambda rr: float(_l1_dual_from_sorted(cset.radius, rr, *sorted_form).mean())
     if cset.kind == "sparse_cap":
         base = float(np.sqrt(_topd_energy(np.abs(G), cset.d)).mean())
         return lambda rr: rr * base
@@ -562,7 +581,7 @@ def packing_count(cset, center, ball_radius, separation, shell_R0=None,
         if pts.shape[1] != cset.n:
             raise ValueError(f"candidate_points must have {cset.n} columns, got {pts.shape[1]}")
 
-    keep = np.array([contains(cset, row, tol=1e-9) for row in pts])
+    keep = contains(cset, pts, tol=1e-9)
     dist = np.linalg.norm(pts - center[None, :], axis=1)
     keep &= dist <= ball_radius * (1.0 + 1e-12) + 1e-12
     if shell_R0 is not None:
@@ -572,15 +591,13 @@ def packing_count(cset, center, ball_radius, separation, shell_R0=None,
         else:
             keep &= np.abs(nrm - shell_R0) <= 0.01 * shell_R0
     pts = pts[keep]
-    if pts.shape[0] == 0:
-        return 0
-
-    packed = [pts[0]]
-    for row in pts[1:]:
-        dmin = min(float(np.linalg.norm(row - p)) for p in packed)
-        if dmin >= separation:
-            packed.append(row)
-    return len(packed)
+    # greedy in row order: each accepted point drops every later candidate
+    # closer than `separation`, so the next survivor is the next accepted one
+    count = 0
+    while pts.shape[0]:
+        count += 1
+        pts = pts[1:][np.linalg.norm(pts[1:] - pts[0], axis=1) >= separation]
+    return count
 
 
 def _sample_candidates(cset, center, ball_radius, shell_R0, count, seed):

@@ -164,6 +164,7 @@ _FIXED_POINT_COMBOS = (
 
 
 def test_criterion_6_fixed_point_backends_agree(capfd):
+    start = time.monotonic()
     lo, hi = math.inf, -math.inf
     zero_ok = True
     for functional, level, N, n in _FIXED_POINT_COMBOS:
@@ -179,10 +180,11 @@ def test_criterion_6_fixed_point_backends_agree(capfd):
         else:
             ratio = mc / closed
             lo, hi = min(lo, ratio), max(hi, ratio)
-    ok = zero_ok and 0.25 <= lo and hi <= 4.0
+    elapsed = time.monotonic() - start
+    ok = zero_ok and 0.25 <= lo and hi <= 4.0 and elapsed <= 60.0
     _report(capfd, 6, "fixed-point backend consistency", ok,
             f"mc/closed in [{lo:.3f}, {hi:.3f}] over {len(_FIXED_POINT_COMBOS)} combos, "
-            f"zero branch agrees={zero_ok}")
+            f"zero branch agrees={zero_ok} ({elapsed:.0f}s)")
 
 
 def test_criterion_7_deterministic_lemma_suite(capfd):

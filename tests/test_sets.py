@@ -24,6 +24,7 @@ from phaselab import (
     packing_count,
     project,
     random_feasible,
+    sets,
     sparse_cap,
     support_function_cap,
 )
@@ -60,6 +61,16 @@ def test_contains_hand_cases():
     assert contains(l2_ball(2, 1.0), [0.6, 0.8], tol=0.0)
     assert not contains(l2_ball(2, 1.0), [0.7, 0.8])
     assert contains(ambient(2), [1e9, -1e9])
+
+
+def test_contains_stack_equals_row_by_row():
+    rng = np.random.default_rng(9)
+    for cset in ALL_KINDS:
+        X = rng.standard_normal((40, cset.n)) * rng.uniform(0.1, 2.0, size=(40, 1))
+        X[::5, 1:] = 0.0
+        flags = contains(cset, X)
+        assert flags.shape == (40,)
+        assert flags.tolist() == [contains(cset, x) for x in X]
 
 
 def test_contains_dimension_mismatch():
@@ -171,6 +182,8 @@ def test_support_hand_cases():
     # huge radius: the l1 ball binds, sup = radius * max|g_i|
     val = support_function_cap(l1_ball(2, 1.0), 10.0, [2.0, 1.0])
     assert abs(val - 2.0) <= 1e-12
+    # a tied row whose squares underflow still gives radius * max|g_i|
+    assert support_function_cap(l1_ball(3, 1.0), 1.0, [1e-200] * 3) == 1e-200
     # l2 ball cap is min(r, radius) * ||g||
     val = support_function_cap(l2_ball(3, 2.0), 5.0, [1.0, 2.0, 2.0])
     assert abs(val - 6.0) <= 1e-12
@@ -273,6 +286,63 @@ def test_support_l1_fine_grid_2d():
         val = support_function_cap(l1_ball(2, radius), r, g)
         assert val >= brute - 1e-9
         assert val <= brute + 1e-4
+
+
+def _l1_cap_support_dense(radius, r, G):
+    """Reference: F(lam) = lam*radius + r*||(|g| - lam)_+||_2 at every
+    breakpoint and every in-piece stationary point, then the minimum.
+
+    An O(m*n) scan over all pieces, where the library bisects to one piece
+    per row.  Stationary values get the library's floor ||u||_2 >=
+    ||u||_1 / sqrt(k), which the prefix-sum formula misses on tied entries.
+    """
+    B = -np.sort(-np.abs(np.atleast_2d(G)), axis=1)
+    S1, S2 = np.cumsum(B, axis=1), np.cumsum(B * B, axis=1)
+    m, n = B.shape
+    k = np.arange(1, n + 1, dtype=float)
+    q = (radius / r) ** 2
+
+    h = np.maximum(S2 - 2.0 * B * S1 + k * B * B, 0.0)
+    best = np.minimum(r * np.sqrt(S2[:, -1]), (B * radius + r * np.sqrt(h)).min(axis=1))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = q * np.maximum(k * S2 - S1 * S1, 0.0) / (k - q)
+        lam = (S1 - np.sqrt(np.maximum(disc, 0.0))) / k
+    lower = np.concatenate([B[:, 1:], np.zeros((m, 1))], axis=1)
+    ok = (k > q) & np.isfinite(lam) & (lam >= lower) & (lam <= B) & (lam >= 0.0)
+    lam = np.where(ok, lam, 0.0)
+    h = np.maximum(S2 - 2.0 * lam * S1 + k * lam * lam, 0.0)
+    norm2 = np.maximum(np.sqrt(h), (S1 - k * lam) / np.sqrt(k))
+    vals = np.where(ok, lam * radius + r * norm2, np.inf)
+    return np.minimum(best, vals.min(axis=1))
+
+
+@st.composite
+def _rows_with_ties(draw):
+    n = draw(st.integers(1, 64))
+    G = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((6, n))
+    G[1] = np.round(G[1], 1)            # ties among the breakpoints
+    G[2] = 0.0                          # a zero row
+    # an all-equal row; at levels whose squares underflow the dense
+    # reference reads 0 (test_support_hand_cases covers those)
+    G[3] = draw(st.floats(1e-3, 3.0))
+    G[4, : (n + 1) // 2] = G[4, 0]      # a tied top
+    return G
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(G=_rows_with_ties(), radius=st.floats(0.3, 3.0),
+       log_ratio=st.floats(math.log(1e-4), math.log(10.0)))
+def test_support_l1_equals_dense_scan_and_feasible_maximum(G, radius, log_ratio):
+    # the cap support function is a maximum over feasible points: the dense
+    # dual scan equals it, and for small n a primal/dual sandwich brackets it
+    r = radius * math.exp(log_ratio)
+    vals = sets._support_batch(l1_ball(G.shape[1], radius), r, G)
+    np.testing.assert_allclose(vals, _l1_cap_support_dense(radius, r, G), rtol=1e-12, atol=0.0)
+    if G.shape[1] <= 12:
+        for g, val in zip(G, vals):
+            lower, upper = _l1_cap_support_sandwich(radius, r, g)
+            assert lower - 1e-9 <= val <= upper + 1e-9
 
 
 def test_support_validation():
@@ -475,6 +545,18 @@ def test_fixed_point_mc_satisfies_defining_inequality():
     bound = lambda r: q.level * r**2 * math.sqrt(q.N)
     assert phi(r_star) <= bound(r_star) * (1.0 + 1e-9)
     assert phi(0.9 * r_star) > bound(0.9 * r_star)
+
+
+@pytest.mark.parametrize("n, functional, level, N, expected", [
+    (2048, "rN", 1.0, 128, 0.2724217815063743),
+    (1024, "sN", 0.5, 1024, 0.44254404984365797),
+])
+def test_fixed_point_l1_mc_values_pinned(n, functional, level, N, expected):
+    # values recorded at commit ca2ac62, before the l1 cap support function
+    # moved from a dense breakpoint scan to a per-row bisection
+    q = FixedPointQuery(functional=functional, level=level, N=N, backend="monte_carlo")
+    r_star = fixed_point(l1_ball(n, 1.0), q, McConfig(draws=256, seed=3))
+    assert abs(r_star - expected) <= 1e-12 * expected
 
 
 def test_fixed_point_r2_bisect_defining_inequality():
