@@ -15,11 +15,13 @@ from .empirics import (
     empirical_smallball_fraction,
     norm_equivalence_check,
     norm_equivalence_violations,
+    paley_zygmund_admitted,
     paley_zygmund_fraction,
     product_process_sup,
     psi_alpha_norm,
     random_norm_triples,
     rearrangement_functional,
+    rearrangement_ratio_range,
 )
 from .ensembles import (
     Ensemble,

@@ -117,44 +117,17 @@ def _check_psi(samples, seed):
 
 
 def _check_rearrangement(samples, seed):
-    rng = np.random.default_rng(seed)
-    lo, hi = math.inf, -math.inf
-    count = max(32, samples // 1000)
-    for _ in range(count):
-        m = int(rng.choice([10, 100, 1000]))
-        alpha = float(rng.choice([1.0, 2.0]))
-        style = rng.integers(0, 4)
-        if style == 0:
-            v = rng.standard_normal(m)
-        elif style == 1:
-            v = rng.standard_exponential(m)
-        elif style == 2:
-            v = 2.0 ** -np.arange(m, dtype=float)
-        else:
-            v = np.zeros(m)
-            v[0] = 1.0
-        ratio = empirics.psi_alpha_norm(v, alpha) / empirics.rearrangement_functional(v, alpha)
-        lo, hi = min(lo, ratio), max(hi, ratio)
+    lo, hi = empirics.rearrangement_ratio_range(max(32, samples // 1000), seed)
     if lo < empirics.REARRANGEMENT_RATIO_LOW or hi > empirics.REARRANGEMENT_RATIO_HIGH:
         return [f"ratio range [{lo:.4f}, {hi:.4f}] escapes the frozen band"]
     return []
 
 
 def _check_paley_zygmund(samples, seed):
-    rng = np.random.default_rng(seed)
-    failures = []
-    count = max(32, samples // 1000)
-    for beta, (eta, floor) in sorted(empirics.PZ_LEVELS.items()):
-        power = {2.0: 1, 4.0: 2, 8.0: 3}[beta]
-        for _ in range(count):
-            v = np.abs(rng.standard_normal(1024)) ** power
-            frac, ratio = empirics.paley_zygmund_fraction(v, eta)
-            if ratio > beta:
-                continue
-            if frac < floor:
-                failures.append(f"beta={beta}: fraction {frac:.4f} < floor {floor}")
-                break
-    return failures
+    measured = empirics.paley_zygmund_admitted(max(32, samples // 1000), seed)
+    floors = {beta: floor for beta, (_, floor) in empirics.PZ_LEVELS.items()}
+    return [f"beta={beta}: fraction {least:.4f} < floor {floors[beta]}"
+            for beta, (_, least) in measured.items() if least < floors[beta]]
 
 
 def _check_norm_equivalence(samples, seed):

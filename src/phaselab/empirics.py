@@ -76,6 +76,55 @@ def paley_zygmund_fraction(v, eta):
     return fraction, psi_alpha_norm(v, 1.0) / l1
 
 
+def rearrangement_ratio_range(count, seed):
+    """(lo, hi) of psi_alpha_norm / rearrangement_functional over `count` stress vectors.
+
+    Each vector has m in {10, 100, 1000} coordinates and alpha in {1, 2}, and is
+    gaussian, exponential, geometric (2^-i) or a single spike.
+    """
+    rng = np.random.default_rng(seed)
+    lo, hi = math.inf, -math.inf
+    for _ in range(count):
+        m = int(rng.choice([10, 100, 1000]))
+        alpha = float(rng.choice([1.0, 2.0]))
+        style = rng.integers(0, 4)
+        if style == 0:
+            v = rng.standard_normal(m)
+        elif style == 1:
+            v = rng.standard_exponential(m)
+        elif style == 2:
+            v = 2.0 ** -np.arange(m, dtype=float)
+        else:
+            v = np.zeros(m)
+            v[0] = 1.0
+        ratio = psi_alpha_norm(v, alpha) / rearrangement_functional(v, alpha)
+        lo, hi = min(lo, ratio), max(hi, ratio)
+    return lo, hi
+
+
+def paley_zygmund_admitted(count, seed):
+    """Per beta of PZ_LEVELS: (admitted, least fraction) over `count` draws each.
+
+    A draw is |g|^p for g standard gaussian in R^1024, p = 1, 2, 3 for beta = 2,
+    4, 8.  It is admitted when its psi_1/L1 ratio is at most beta; the least
+    fraction is the smallest paley_zygmund_fraction at eta among the admitted
+    draws, inf if none is.
+    """
+    rng = np.random.default_rng(seed)
+    measured = {}
+    for beta, (eta, _) in sorted(PZ_LEVELS.items()):
+        power = {2.0: 1, 4.0: 2, 8.0: 3}[beta]
+        admitted, least = 0, math.inf
+        for _ in range(count):
+            v = np.abs(rng.standard_normal(1024)) ** power
+            frac, ratio = paley_zygmund_fraction(v, eta)
+            if ratio <= beta:
+                admitted += 1
+                least = min(least, frac)
+        measured[beta] = (admitted, least)
+    return measured
+
+
 def empirical_smallball_fraction(A, u, v, c1):
     """Fraction of rows with |<a_i,u><a_i,v>| >= c1 ||u|| ||v||."""
     A = np.asarray(A, dtype=float)

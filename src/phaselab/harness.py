@@ -7,16 +7,18 @@ the task's grid position, so tables are bit-identical for any worker count.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ensembles import Ensemble, NoiseModel, generate_sample, sub_seed, substream
-from .erm import SolverConfig, StepRule, solve_oracle, solve_pgd
+from .erm import SolverConfig, solve_oracle, solve_pgd
 from .errors import BudgetExceededError, ConfigError, InsufficientDataError
 from .sets import ConstraintSet, l1_display, random_feasible, toward_shell
 
@@ -338,9 +340,8 @@ def export_results(table, path):
                 repr(r.product_error), repr(r.sign_error), repr(r.objective),
                 "true" if r.converged else "false",
             ])
-    payload = [s.__dict__ for s in table.summaries]
     with open(path + ".summary.json", "w") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(_to_plain(table.summaries), fh, indent=1)
 
 
 def load_results(path):
@@ -365,54 +366,80 @@ def load_results(path):
                 raise ConfigError(f"{path}:{lineno}: unparseable row field: {exc}") from exc
     sidecar = path + ".summary.json"
     if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            payload = json.load(fh)
-        summaries = tuple(CellSummary(**entry) for entry in payload)
+        payload = _read_json(sidecar)
+        if not isinstance(payload, list):
+            raise ConfigError(f"{sidecar}: expected a JSON array, got {type(payload).__name__}")
+        summaries = tuple(_from_plain(CellSummary, entry, f"{sidecar}[{i}]")
+                          for i, entry in enumerate(payload))
     else:
         summaries = tuple(summarize(rows))
     return ResultsTable(tuple(rows), summaries)
 
 
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+# The one JSON key that is not its field's name.
+_JSON_NAMES = {"constraint_set": "set"}
+
+
+def _to_plain(obj):
+    """JSON values for a dataclass, field by field: tuples become lists."""
+    if dataclasses.is_dataclass(obj):
+        return {_JSON_NAMES.get(f.name, f.name): _to_plain(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [_to_plain(v) for v in obj]
+    return obj
+
+
+def _from_plain(cls, data, where):
+    """Build dataclass `cls` from JSON values, converting each by its field's annotation.
+
+    Annotations may be int, float, str, tuple, a dataclass (read recursively) or
+    `X | None`.  Absent fields with a default take it; a missing required field,
+    an unknown key or a value that does not convert is a ConfigError naming the
+    dotted path from `where`.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(data).__name__}")
+    fields = {_JSON_NAMES.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    unknown = [key for key in data if key not in fields]
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, f in fields.items():
+        if key in data:
+            kwargs[f.name] = _convert(hints[f.name], data[key], f"{where}.{key}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where}: missing required field {key!r}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _convert(tp, value, where):
+    if typing.get_args(tp):  # X | None
+        if value is None:
+            return None
+        (tp,) = set(typing.get_args(tp)) - {type(None)}
+    if dataclasses.is_dataclass(tp):
+        return _from_plain(tp, value, where)
+    try:
+        return tp(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
 
 def config_to_dict(config):
-    cset = config.constraint_set
-    set_dict = {"kind": cset.kind, "n": cset.n}
-    if cset.d is not None:
-        set_dict["d"] = cset.d
-    if cset.radius is not None:
-        set_dict["radius"] = cset.radius
-    x0 = config.x0_spec
-    sc = config.solver.config
-    return {
-        "set": set_dict,
-        "ensemble": {"kind": config.ensemble.kind, "dimension": config.ensemble.dimension},
-        "noise": {"kind": config.noise.kind, "scale": config.noise.scale},
-        "x0_spec": {"mode": x0.mode, "vector": list(x0.vector) if x0.vector else None,
-                    "R0": x0.R0, "d": x0.d},
-        "N_grid": list(config.N_grid),
-        "sigma_grid": list(config.sigma_grid),
-        "trials_per_cell": config.trials_per_cell,
-        "solver": {
-            "kind": config.solver.kind,
-            "config": {
-                "max_iterations": sc.max_iterations,
-                "gradient_tolerance": sc.gradient_tolerance,
-                "restarts": sc.restarts,
-                "oracle_budget": sc.oracle_budget,
-                "step_rule": {
-                    "kind": sc.step_rule.kind, "step": sc.step_rule.step,
-                    "shrink": sc.step_rule.shrink, "growth": sc.step_rule.growth,
-                },
-            },
-        },
-        "master_seed": config.master_seed,
-        "success_sign_error": config.success_sign_error,
-    }
+    return _to_plain(config)
 
 
 def save_config(config, path):
@@ -421,72 +448,9 @@ def save_config(config, path):
 
 
 def config_from_dict(data, where="config"):
-    try:
-        set_dict = dict(_require(data, "set", where))
-        cset = ConstraintSet(
-            kind=_require(set_dict, "kind", f"{where}.set"),
-            n=int(_require(set_dict, "n", f"{where}.set")),
-            d=set_dict.get("d"),
-            radius=set_dict.get("radius"),
-        )
-        ens_dict = _require(data, "ensemble", where)
-        ensemble = Ensemble(
-            kind=_require(ens_dict, "kind", f"{where}.ensemble"),
-            dimension=int(_require(ens_dict, "dimension", f"{where}.ensemble")),
-        )
-        noise_dict = _require(data, "noise", where)
-        noise = NoiseModel(
-            kind=_require(noise_dict, "kind", f"{where}.noise"),
-            scale=float(noise_dict.get("scale", 0.0)),
-        )
-        x0_dict = _require(data, "x0_spec", where)
-        x0 = X0Spec(
-            mode=_require(x0_dict, "mode", f"{where}.x0_spec"),
-            vector=x0_dict.get("vector"),
-            R0=x0_dict.get("R0"),
-            d=x0_dict.get("d"),
-        )
-        solver_dict = _require(data, "solver", where)
-        sc_dict = solver_dict.get("config", {})
-        sr_dict = sc_dict.get("step_rule", {})
-        solver = SolverSpec(
-            kind=_require(solver_dict, "kind", f"{where}.solver"),
-            config=SolverConfig(
-                max_iterations=int(sc_dict.get("max_iterations", 300)),
-                gradient_tolerance=float(sc_dict.get("gradient_tolerance", 1e-8)),
-                restarts=int(sc_dict.get("restarts", 1)),
-                oracle_budget=int(sc_dict.get("oracle_budget", 200_000)),
-                step_rule=StepRule(
-                    kind=sr_dict.get("kind", "backtracking"),
-                    step=sr_dict.get("step"),
-                    shrink=float(sr_dict.get("shrink", 0.5)),
-                    growth=float(sr_dict.get("growth", 1.1)),
-                ),
-            ),
-        )
-        return ExperimentConfig(
-            constraint_set=cset,
-            ensemble=ensemble,
-            noise=noise,
-            x0_spec=x0,
-            N_grid=tuple(_require(data, "N_grid", where)),
-            sigma_grid=tuple(_require(data, "sigma_grid", where)),
-            trials_per_cell=int(_require(data, "trials_per_cell", where)),
-            solver=solver,
-            master_seed=int(_require(data, "master_seed", where)),
-            success_sign_error=float(data.get("success_sign_error", 1e-6)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _from_plain(ExperimentConfig, data, where)
 
 
 def load_config(path):
     path = str(path)
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    return config_from_dict(data, where=path)
+    return config_from_dict(_read_json(path), where=path)

@@ -35,11 +35,10 @@ from phaselab import (
     mean_width_mc,
     norm_equivalence_violations,
     objective,
-    paley_zygmund_fraction,
+    paley_zygmund_admitted,
     predict_rate_l1,
-    psi_alpha_norm,
     random_feasible,
-    rearrangement_functional,
+    rearrangement_ratio_range,
     run_experiment,
     solve_oracle,
     solve_pgd,
@@ -191,38 +190,11 @@ def test_criterion_7_deterministic_lemma_suite(capfd):
     bad_fwd, bad_bwd = norm_equivalence_violations(
         1_000_000, EQUIVALENCE_C1, EQUIVALENCE_C2, seed=777)
 
-    rng = np.random.default_rng(778)
-    lo, hi = math.inf, -math.inf
-    for _ in range(400):
-        m = int(rng.choice([10, 100, 1000]))
-        alpha = float(rng.choice([1.0, 2.0]))
-        style = rng.integers(0, 4)
-        if style == 0:
-            v = rng.standard_normal(m)
-        elif style == 1:
-            v = rng.standard_exponential(m)
-        elif style == 2:
-            v = 2.0 ** -np.arange(m, dtype=float)
-        else:
-            v = np.zeros(m)
-            v[0] = 1.0
-        ratio = psi_alpha_norm(v, alpha) / rearrangement_functional(v, alpha)
-        lo, hi = min(lo, ratio), max(hi, ratio)
+    lo, hi = rearrangement_ratio_range(400, seed=778)
     band_ok = REARRANGEMENT_RATIO_LOW <= lo and hi <= REARRANGEMENT_RATIO_HIGH
 
-    rng = np.random.default_rng(779)
-    pz_ok = True
-    for beta, (eta, floor) in sorted(PZ_LEVELS.items()):
-        power = {2.0: 1, 4.0: 2, 8.0: 3}[beta]
-        admitted = 0
-        for _ in range(100):
-            v = np.abs(rng.standard_normal(1024)) ** power
-            frac, ratio = paley_zygmund_fraction(v, eta)
-            if ratio > beta:
-                continue
-            admitted += 1
-            pz_ok = pz_ok and frac >= floor
-        pz_ok = pz_ok and admitted >= 50
+    pz_ok = all(admitted >= 50 and least >= PZ_LEVELS[beta][1]
+                for beta, (admitted, least) in paley_zygmund_admitted(100, seed=779).items())
 
     ok = bad_fwd == 0 and bad_bwd == 0 and band_ok and pz_ok
     _report(capfd, 7, "deterministic lemma suite", ok,

@@ -159,6 +159,16 @@ def test_simulate_config_missing_field(capsys, tmp_path, config_path):
     assert "N_grid" in err
 
 
+def test_simulate_config_unknown_field(capsys, tmp_path, config_path):
+    data = json.loads(config_path.read_text())
+    data["solver"]["config"] = {"restart": 8}
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = _run(capsys, "simulate", str(bad))
+    assert code == 2
+    assert "solver.config" in err and "'restart'" in err
+
+
 # ---------------------------------------------------------------------------
 # check suites
 

@@ -2,12 +2,16 @@
 
 import json
 import math
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from phaselab import (
     ConfigError,
+    ConstraintSet,
     Ensemble,
     ExperimentConfig,
     InsufficientDataError,
@@ -15,6 +19,7 @@ from phaselab import (
     ResultsTable,
     SolverConfig,
     SolverSpec,
+    StepRule,
     TrialRow,
     X0Spec,
     ambient,
@@ -465,14 +470,137 @@ def test_load_results_header_and_row_diagnostics(tmp_path):
         load_results(bad)
 
 
-def test_config_dict_round_trip():
-    config = _sparse_config(
-        noise=NoiseModel("gaussian"),
-        sigma_grid=(0.1, 0.2),
-        x0_spec=X0Spec(mode="random_sparse", R0=2.0, d=2),
-        solver=SolverSpec(kind="pgd", config=SolverConfig(max_iterations=123, restarts=4)),
+def test_load_results_rejects_malformed_sidecars(tmp_path):
+    rows = (TrialRow(512, 0.1, 1.0, 0, 0.3, 0.1, 0.0, True),)
+    path = tmp_path / "rows.csv"
+    export_results(ResultsTable(rows, tuple(summarize(rows))), path)
+    sidecar = tmp_path / "rows.csv.summary.json"
+    entry = json.loads(sidecar.read_text())[0]
+    cases = (
+        (json.dumps([{**entry, "mean_sign_error": 0.1}]), "unknown field 'mean_sign_error'"),
+        (json.dumps([{k: v for k, v in entry.items() if k != "N"}]), "missing required field 'N'"),
+        ("[5]", "expected a JSON object"),
+        ("[{", "invalid JSON"),
     )
-    assert config_from_dict(config_to_dict(config)) == config
+    for text, message in cases:
+        sidecar.write_text(text)
+        with pytest.raises(ConfigError, match=message) as info:
+            load_results(path)
+        assert "rows.csv.summary.json" in str(info.value)
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _configs(draw):
+    n = draw(st.integers(1, 8))
+    set_kind = draw(st.sampled_from(["sparse_cap", "l1_ball", "l2_ball", "ambient"]))
+    cset = ConstraintSet(
+        set_kind, n,
+        d=draw(st.integers(1, n)) if set_kind == "sparse_cap" else None,
+        radius=draw(_POSITIVE) if set_kind.endswith("_ball") else None,
+    )
+    mode = draw(st.sampled_from(["explicit", "random_on_shell", "random_sparse"]))
+    if mode == "explicit":
+        x0 = X0Spec(mode, vector=tuple(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))))
+    else:
+        x0 = X0Spec(mode, R0=draw(st.floats(0, 10)),
+                    d=draw(st.integers(1, 8) if mode == "random_sparse" else st.none()))
+    noise = NoiseModel(draw(st.sampled_from(["none", "gaussian", "bounded_uniform"])),
+                       draw(st.floats(0, 10)))
+    sigma = st.just(0.0) if noise.kind == "none" else st.floats(0, 5)
+    step_rule = StepRule(draw(st.sampled_from(["backtracking", "fixed"])),
+                         step=draw(st.none() | _POSITIVE), shrink=draw(st.floats(0.01, 0.99)),
+                         growth=draw(st.floats(1.0, 3.0)))
+    solver = SolverSpec(draw(st.sampled_from(["pgd", "oracle"])), SolverConfig(
+        max_iterations=draw(st.integers(1, 10_000)), gradient_tolerance=draw(st.floats(0, 1)),
+        step_rule=step_rule, restarts=draw(st.integers(1, 16)),
+        oracle_budget=draw(st.integers(1, 10**6)),
+    ))
+    return ExperimentConfig(
+        constraint_set=cset,
+        ensemble=Ensemble(draw(st.sampled_from(["standard_gaussian", "rademacher",
+                                                "scaled_uniform"])), n),
+        noise=noise,
+        x0_spec=x0,
+        N_grid=tuple(draw(st.lists(st.integers(1, 10**5), min_size=1, max_size=4))),
+        sigma_grid=tuple(draw(st.lists(sigma, min_size=1, max_size=4))),
+        trials_per_cell=draw(st.integers(1, 100)),
+        solver=solver,
+        master_seed=draw(st.integers(0, 2**63)),
+        success_sign_error=draw(st.floats(0, 1)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config=_configs())
+def test_config_dict_round_trip(config):
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
+
+def test_config_partial_dict_takes_the_defaults():
+    # the shape perfbench writes: a partial solver config, no set radius, no x0 vector
+    data = {
+        "set": {"kind": "sparse_cap", "n": 16, "d": 2},
+        "ensemble": {"kind": "standard_gaussian", "dimension": 16},
+        "noise": {"kind": "gaussian", "scale": 0.0},
+        "x0_spec": {"mode": "random_sparse", "R0": 1.0, "d": 2},
+        "N_grid": [256, 512],
+        "sigma_grid": [0.5],
+        "trials_per_cell": 1,
+        "solver": {"kind": "pgd", "config": {"restarts": 8}},
+        "master_seed": 0,
+    }
+    spelled_out = ExperimentConfig(
+        constraint_set=ConstraintSet("sparse_cap", 16, d=2, radius=None),
+        ensemble=Ensemble("standard_gaussian", 16),
+        noise=NoiseModel("gaussian", 0.0),
+        x0_spec=X0Spec("random_sparse", vector=None, R0=1.0, d=2),
+        N_grid=(256, 512),
+        sigma_grid=(0.5,),
+        trials_per_cell=1,
+        solver=SolverSpec("pgd", SolverConfig(
+            max_iterations=300, gradient_tolerance=1e-8,
+            step_rule=StepRule("backtracking", step=None, shrink=0.5, growth=1.1),
+            restarts=8, oracle_budget=200_000,
+        )),
+        master_seed=0,
+        success_sign_error=1e-6,
+    )
+    assert config_from_dict(data) == spelled_out
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    config = config_from_dict(json.loads(block))
+    assert config.constraint_set == sparse_cap(64, 4)
+    assert config.solver.config.restarts == 4
+
+
+def test_config_integer_fields_are_converted():
+    config = _sparse_config()
+    for set_d, x0_d in (("2", 2), (2.0, 2), (2, 2.0)):
+        data = config_to_dict(config)
+        data["set"]["d"], data["x0_spec"]["d"] = set_d, x0_d
+        loaded = config_from_dict(data)
+        assert loaded == config
+        assert type(loaded.constraint_set.d) is int and type(loaded.x0_spec.d) is int
+
+
+def test_config_section_must_be_an_object():
+    data = config_to_dict(_sparse_config())
+    data["solver"]["config"] = [1]
+    with pytest.raises(ConfigError, match=r"config\.solver\.config: expected a JSON object"):
+        config_from_dict(data)
+
+
+def test_config_unknown_field_is_named():
+    data = config_to_dict(_sparse_config())
+    data["solver"]["config"] = {"restart": 8}
+    with pytest.raises(ConfigError, match=r"config\.solver\.config: unknown field 'restart'"):
+        config_from_dict(data)
 
 
 def test_config_file_round_trip(tmp_path):

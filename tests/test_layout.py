@@ -1,9 +1,14 @@
-"""Package layout: no module imports another module's private names."""
+"""Package layout: no private cross-module imports; config fields the JSON codec can read."""
 
 import ast
+import dataclasses
+import types
+import typing
 from pathlib import Path
 
 import pytest
+
+from phaselab import ExperimentConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "phaselab"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -31,3 +36,24 @@ def test_package_modules_found():
 def test_no_private_cross_module_imports(path):
     found = _private_imports(path)
     assert not found, f"{path.name} imports private names: {found}"
+
+
+def _codec_violations(cls, path):
+    """Fields under dataclass `cls` whose annotation the config JSON codec does not convert."""
+    found = []
+    for name, tp in typing.get_type_hints(cls).items():
+        args = typing.get_args(tp)
+        if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 \
+                and type(None) in args:
+            (tp,) = set(args) - {type(None)}
+        if dataclasses.is_dataclass(tp):
+            found += _codec_violations(tp, f"{path}.{name}")
+        elif tp not in (int, float, str, tuple):
+            found.append(f"{path}.{name}: {tp}")
+    return found
+
+
+def test_config_fields_have_codec_types():
+    # the codec converts int, float, str, tuple, X | None and nested dataclasses
+    found = _codec_violations(ExperimentConfig, "ExperimentConfig")
+    assert not found, f"config fields the JSON codec cannot convert: {found}"
