@@ -298,23 +298,12 @@ def _newton_polish(As, y, x, fx, max_iter=15):
     return x, fx, iters
 
 
-def _ordered_supports(order, d):
-    """All size-d supports, tiers of growing prefixes of `order` first."""
-    n = len(order)
-    for k in range(d, n + 1):
-        newest = order[k - 1]
-        for rest in itertools.combinations(order[: k - 1], d - 1):
-            yield rest + (newest,)
-
-
 @functools.lru_cache(maxsize=4)
 def _support_index_array(n, d):
-    """All size-d index tuples in the tier order of _ordered_supports."""
-    total = math.comb(n, d)
-    return np.fromiter(
-        itertools.chain.from_iterable(_ordered_supports(tuple(range(n)), d)),
-        dtype=np.int32, count=total * d,
-    ).reshape(total, d)
+    """All size-d index tuples in tiers of their largest index, lexicographic within a tier."""
+    table = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), d)),
+                        dtype=np.int32, count=math.comb(n, d) * d).reshape(-1, d)
+    return table[np.argsort(table[:, -1], kind="stable")]
 
 
 def _ls_resid(G, b, yy, yscale):
@@ -385,6 +374,26 @@ def _gram_init(sol_row, d, iu):
     return _spectral_start(lam[-1], V[:, -1])
 
 
+def _oracle_candidates(supports, screen, d, iu):
+    """(row, x_init) pairs of `supports` in the oracle's solve order.
+
+    First every support the cheap Gram screen finds (near-)consistent, block by
+    block, with its Gram start; then every other support, lowest screen residual
+    first, with None (a spectral start).  Lazy, so a caller that stops at a
+    certified zero screens no further block.
+    """
+    residuals = np.empty(len(supports))
+    block = 8192
+    for start in range(0, len(supports), block):
+        resid, sols = screen(supports[start:start + block])
+        residuals[start:start + len(resid)] = resid
+        for h in np.flatnonzero(resid <= 1e-12):
+            yield start + int(h), _gram_init(sols[h], d, iu)
+    ranked = np.argsort(residuals, kind="stable")
+    for row in ranked[~(residuals[ranked] <= 1e-12)]:
+        yield int(row), None
+
+
 def _solve_support(A, y, supp, x_init, max_iter):
     As = A[:, supp]
     if x_init is None:
@@ -423,46 +432,14 @@ def _oracle_sparse(sample, cset, config):
     iu = np.triu_indices(d)
     m = min(N, 2 * iu[0].size + 10)
     screen = _make_gram_screen(A[:m], y[:m], n, iu)
-    best_f = math.inf
-    best_x = np.zeros(d)
-    best_row = 0
-    total_iters = 0
-
-    # pass 1: screen every support with the cheap vectorized Gram fit and
-    # fully solve only the (near-)consistent ones
-    residuals = np.empty(total)
-    tried = set()
-    block = 8192
-    for start in range(0, total, block):
-        chunk = supports[start:start + block]
-        resid, sols = screen(chunk)
-        residuals[start:start + chunk.shape[0]] = resid
-        for h in np.flatnonzero(resid <= 1e-12):
-            row = start + int(h)
-            tried.add(row)
-            x, fx, its = _solve_support(A, y, chunk[h], _gram_init(sols[h], d, iu),
-                                        per_support_iter)
-            total_iters += its
-            if fx < best_f:
-                best_f, best_x, best_row = fx, x, row
-            if best_f <= zero_tol:
-                break
+    best_f, best_x, best_row, total_iters = math.inf, np.zeros(d), 0, 0
+    for row, x_init in _oracle_candidates(supports, screen, d, iu):
+        x, fx, its = _solve_support(A, y, supports[row], x_init, per_support_iter)
+        total_iters += its
+        if fx < best_f:
+            best_f, best_x, best_row = fx, x, row
         if best_f <= zero_tol:
             break
-
-    # pass 2 (reached only without a certified zero, e.g. noisy data):
-    # exhaustive descent over the remaining supports, most promising first
-    if best_f > zero_tol:
-        for row in np.argsort(residuals, kind="stable"):
-            row = int(row)
-            if row in tried:
-                continue
-            x, fx, its = _solve_support(A, y, supports[row], None, per_support_iter)
-            total_iters += its
-            if fx < best_f:
-                best_f, best_x, best_row = fx, x, row
-            if best_f <= zero_tol:
-                break
 
     x_hat = np.zeros(n)
     x_hat[supports[best_row]] = best_x

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import Ensemble, NoiseModel, generate_sample, sub_seed, substream
-from .erm import SolverConfig, solve_oracle, solve_pgd
+from .erm import SolverConfig, TrialResult, solve_oracle, solve_pgd
 from .errors import BudgetExceededError, ConfigError, InsufficientDataError
 from .sets import ConstraintSet, l1_display, random_feasible, toward_shell
 
@@ -240,32 +240,22 @@ def _run_task(args):
     solve = solve_oracle if config.solver.kind == "oracle" else solve_pgd
     try:
         res = solve(sample, config.constraint_set, config.solver.config, solver_seed)
-        return TrialRow(
-            N=N, sigma=sigma, R0=float(np.linalg.norm(x0)), trial=trial,
-            product_error=res.product_error, sign_error=res.sign_error,
-            objective=res.objective_value, converged=bool(res.converged),
-        )
-    except BudgetExceededError:
-        return TrialRow(
-            N=N, sigma=sigma, R0=float(np.linalg.norm(x0)), trial=trial,
-            product_error=math.nan, sign_error=math.nan,
-            objective=math.nan, converged=False,
-        )
+    except BudgetExceededError:  # a NaN row, not converged
+        res = TrialResult(None, math.nan, math.nan, math.nan, 0, False)
+    return TrialRow(
+        N=N, sigma=sigma, R0=float(np.linalg.norm(x0)), trial=trial,
+        product_error=res.product_error, sign_error=res.sign_error,
+        objective=res.objective_value, converged=bool(res.converged),
+    )
 
 
 def summarize(rows, success_sign_error=1e-6):
     """Per-cell medians over converged trials plus the success fraction."""
     cells = {}
-    order = []
     for row in rows:
-        key = (row.N, row.sigma)
-        if key not in cells:
-            cells[key] = []
-            order.append(key)
-        cells[key].append(row)
+        cells.setdefault((row.N, row.sigma), []).append(row)
     out = []
-    for key in order:
-        group = cells[key]
+    for key, group in cells.items():
         conv = [r for r in group if r.converged]
         med_p = float(np.median([r.product_error for r in conv])) if conv else math.nan
         med_s = float(np.median([r.sign_error for r in conv])) if conv else math.nan
@@ -325,7 +315,21 @@ def fit_slope(table, x_axis, y):
 # ---------------------------------------------------------------------------
 # persistence
 
-_CSV_HEADER = ["N", "sigma", "R0", "trial", "product_error", "sign_error", "objective", "converged"]
+# One CSV column per TrialRow field, in field order, converted by its annotation.
+_CSV_HEADER = [f.name for f in dataclasses.fields(TrialRow)]
+_CSV_TYPES = typing.get_type_hints(TrialRow)
+
+
+def _csv_text(tp, value):
+    if tp is bool:
+        return "true" if value else "false"
+    return repr(tp(value))
+
+
+def _csv_value(tp, text):
+    if tp is bool:
+        return {"true": True, "false": False}[text]
+    return tp(text)
 
 
 def export_results(table, path):
@@ -335,11 +339,7 @@ def export_results(table, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
         for r in table.rows:
-            writer.writerow([
-                r.N, repr(r.sigma), repr(r.R0), r.trial,
-                repr(r.product_error), repr(r.sign_error), repr(r.objective),
-                "true" if r.converged else "false",
-            ])
+            writer.writerow([_csv_text(_CSV_TYPES[name], getattr(r, name)) for name in _CSV_HEADER])
     with open(path + ".summary.json", "w") as fh:
         json.dump(_to_plain(table.summaries), fh, indent=1)
 
@@ -357,11 +357,8 @@ def load_results(path):
             if len(rec) != len(_CSV_HEADER):
                 raise ConfigError(f"{path}:{lineno}: expected {len(_CSV_HEADER)} fields, got {len(rec)}")
             try:
-                rows.append(TrialRow(
-                    N=int(rec[0]), sigma=float(rec[1]), R0=float(rec[2]), trial=int(rec[3]),
-                    product_error=float(rec[4]), sign_error=float(rec[5]),
-                    objective=float(rec[6]), converged={"true": True, "false": False}[rec[7]],
-                ))
+                rows.append(TrialRow(**{name: _csv_value(_CSV_TYPES[name], text)
+                                        for name, text in zip(_CSV_HEADER, rec)}))
             except (ValueError, KeyError) as exc:
                 raise ConfigError(f"{path}:{lineno}: unparseable row field: {exc}") from exc
     sidecar = path + ".summary.json"
@@ -424,6 +421,8 @@ def _convert(tp, value, where):
         (tp,) = set(typing.get_args(tp)) - {type(None)}
     if dataclasses.is_dataclass(tp):
         return _from_plain(tp, value, where)
+    if tp is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
     try:
         return tp(value)
     except (TypeError, ValueError) as exc:

@@ -419,17 +419,14 @@ def _fp_l1_closed(cset, query):
     return rho * l1_display(query.functional, query.level * rho ** (p - 1), query.N, cset.n)
 
 
-def _fp_homogeneous(cset, query, mc, closed_form):
+def _fp_homogeneous(cset, query, mc):
     """Cones and the ambient space: width(r) = r * width(1), solve directly."""
     f = query.functional
     base_set = cset
     if f in ("r0", "r2") and cset.kind == "sparse_cap":
         # differences/sums of d-sparse vectors are 2d-sparse
         base_set = sparse_cap(cset.n, min(2 * cset.d, cset.n))
-    if closed_form:
-        w1 = mean_width_closed_form(base_set, 1.0)
-    else:
-        w1 = mean_width_mc(base_set, 1.0, mc.draws, mc.seed).value
+    w1 = _make_width_evaluator(base_set, query.backend, mc)(1.0)
     root_n = math.sqrt(query.N)
     if f in ("rN", "r0"):
         return 0.0 if w1 <= query.level * root_n else math.inf
@@ -537,18 +534,15 @@ def fixed_point(cset, query, mc=None):
         if query.backend != "monte_carlo":
             raise UnsupportedSetError("qN/tN are packing-based; use backend='monte_carlo'")
         return _fp_packing(cset, query, mc)
-    if query.backend == "closed_form":
-        if cset.kind not in ("sparse_cap", "l1_ball"):
-            raise UnsupportedSetError(
-                f"closed_form backend covers sparse_cap and l1_ball only, not {cset.kind!r}"
-            )
-        if cset.kind == "sparse_cap":
-            return _fp_homogeneous(cset, query, mc, closed_form=True)
-        if f in ("rN", "sN", "vN"):
-            return _fp_l1_closed(cset, query)
-        return _fp_bisect(cset, query, mc)
+    closed_form = query.backend == "closed_form"
+    if closed_form and cset.kind not in ("sparse_cap", "l1_ball"):
+        raise UnsupportedSetError(
+            f"closed_form backend covers sparse_cap and l1_ball only, not {cset.kind!r}"
+        )
     if cset.kind in ("sparse_cap", "ambient"):
-        return _fp_homogeneous(cset, query, mc, closed_form=False)
+        return _fp_homogeneous(cset, query, mc)
+    if closed_form and f in ("rN", "sN", "vN"):
+        return _fp_l1_closed(cset, query)
     return _fp_bisect(cset, query, mc)
 
 

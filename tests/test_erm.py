@@ -1,6 +1,7 @@
 """Quartic ERM machinery: losses, gradients, solvers, error metrics."""
 
 import functools
+import itertools
 import math
 
 import hypothesis.strategies as st
@@ -407,6 +408,23 @@ def test_oracle_budget_error_names_required_budget():
     needed = math.comb(12, 4)
     with pytest.raises(BudgetExceededError, match=str(needed)):
         solve_oracle(s, sparse_cap(12, 4), SolverConfig(oracle_budget=10), seed=0)
+
+
+@pytest.mark.parametrize("n, d", [(6, 1), (7, 3), (5, 5)])
+def test_support_index_array_tiers_by_largest_index(n, d):
+    table = erm._support_index_array(n, d)
+    expected = sorted(itertools.combinations(range(n), d), key=lambda c: c[-1])
+    assert [tuple(row) for row in table.tolist()] == expected
+    assert len({tuple(row) for row in table.tolist()}) == math.comb(n, d)
+
+
+def test_oracle_noise_free_recovery_through_the_per_block_screen():
+    # n = 80 has 3240 > 3000 index pairs, so the Gram screen assembles each block itself
+    x0 = np.zeros(80)
+    x0[[17, 63]] = [0.8, -0.6]
+    s = generate_sample(x0, GAUSS(80), QUIET, 120, seed=606)
+    res = solve_oracle(s, sparse_cap(80, 2), SolverConfig(), seed=0)
+    assert res.sign_error <= 1e-6
 
 
 def test_oracle_dense_set_falls_back_to_restarts():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -587,6 +588,21 @@ def test_config_integer_fields_are_converted():
         loaded = config_from_dict(data)
         assert loaded == config
         assert type(loaded.constraint_set.d) is int and type(loaded.x0_spec.d) is int
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ((), "trials_per_cell", 2.7),
+    (("solver", "config"), "restarts", True),
+])
+def test_config_integer_fields_reject_truncation(section, key, value):
+    data = config_to_dict(_sparse_config())
+    target = data
+    for name in section:
+        target = target[name]
+    target[key] = value
+    where = ".".join(("config", *section, key))
+    with pytest.raises(ConfigError, match=re.escape(f"{where}: expected an integer, got {value!r}")):
+        config_from_dict(data)
 
 
 def test_config_section_must_be_an_object():

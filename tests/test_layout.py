@@ -1,6 +1,8 @@
-"""Package layout: no private cross-module imports; config fields the JSON codec can read."""
+"""Package layout: no private cross-module imports, no dead private helpers; config fields
+the JSON codec can read."""
 
 import ast
+import collections
 import dataclasses
 import types
 import typing
@@ -36,6 +38,39 @@ def test_package_modules_found():
 def test_no_private_cross_module_imports(path):
     found = _private_imports(path)
     assert not found, f"{path.name} imports private names: {found}"
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level private function, class or constant of `tree`."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(node):
+    """How often each name is read under `node`, as a bare name or as an attribute."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
+    )
+
+
+def test_private_module_names_are_referenced():
+    # a private helper that nothing in the package reads, outside its own definition, is dead
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    refs = sum((_references(tree) for tree in trees.values()), collections.Counter())
+    dead = [f"{module}: {name}" for module, tree in trees.items()
+            for name, node in _private_definitions(tree)
+            if refs[name] - _references(node)[name] < 1]
+    assert not dead, f"private names nothing in the package references: {dead}"
 
 
 def _codec_violations(cls, path):
