@@ -69,40 +69,22 @@ def excess_loss_parts(sample, x, x0):
 # spectral initialization
 
 
-def _spectral_matrix(sample):
-    return (sample.A.T @ (sample.y[:, None] * sample.A)) / sample.N
+def _spectral_matrix(A, y):
+    """(1/N) sum y_i a_i a_i^T for the rows a_i of A."""
+    return (A.T @ (y[:, None] * A)) / A.shape[0]
 
 
-def _leading_eig(M, max_iter=200, rel_tol=1e-10):
-    """Leading (largest algebraic) eigenpair by shifted power iteration.
+def _leading_eig(M):
+    """Largest eigenvalue of the symmetric matrix M and a unit eigenvector for it.
 
-    The shift max abs row sum bounds the spectral radius, making the shifted
-    matrix PSD so the iteration converges to the top algebraic eigenvalue.
-    Sign convention: first non-negligible coordinate of the eigenvector is
+    Sign convention: the first non-negligible coordinate of the eigenvector is
     positive.
     """
-    n = M.shape[0]
-    if not np.any(M):
-        return 0.0, np.zeros(n)
-    shift = float(np.abs(M).sum(axis=1).max())
-    v = np.random.default_rng(0x5EED).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = float(v @ (M @ v))
-    for _ in range(max_iter):
-        w = M @ v + shift * v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            break
-        v = w / nw
-        lam_new = float(v @ (M @ v))
-        if abs(lam_new - lam) <= rel_tol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    idx = np.flatnonzero(np.abs(v) > 1e-12 * max(np.abs(v).max(), _TINY))
-    if idx.size and v[idx[0]] < 0:
+    lam, V = np.linalg.eigh(M)
+    v = V[:, -1]
+    if v[np.flatnonzero(np.abs(v) > 1e-12)[0]] < 0:  # v has unit norm
         v = -v
-    return lam, v
+    return float(lam[-1]), v
 
 
 def _spectral_start(lam, v):
@@ -113,7 +95,7 @@ def _spectral_start(lam, v):
 def spectral_init(sample):
     """sqrt(max(lambda_1, 0)) times the leading eigenvector of
     (1/N) sum y_i a_i a_i^T."""
-    return _spectral_start(*_leading_eig(_spectral_matrix(sample)))
+    return _spectral_start(*_leading_eig(_spectral_matrix(sample.A, sample.y)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +219,7 @@ def solve_pgd(sample, cset, config, seed):
     """
     if sample.n != cset.n:
         raise ValueError(f"sample dimension {sample.n} != set dimension {cset.n}")
-    lam1, v1 = _leading_eig(_spectral_matrix(sample))
+    lam1, v1 = _leading_eig(_spectral_matrix(sample.A, sample.y))
     rule = config.step_rule
     if rule.step is not None:
         base_step = rule.step
@@ -370,8 +352,7 @@ def _gram_init(sol_row, d, iu):
     X = np.zeros((d, d))
     X[iu[0], iu[1]] = sol_row
     X[iu[1], iu[0]] = sol_row
-    lam, V = np.linalg.eigh(X)
-    return _spectral_start(lam[-1], V[:, -1])
+    return _spectral_start(*_leading_eig(X))
 
 
 def _oracle_candidates(supports, screen, d, iu):
@@ -397,10 +378,8 @@ def _oracle_candidates(supports, screen, d, iu):
 def _solve_support(A, y, supp, x_init, max_iter):
     As = A[:, supp]
     if x_init is None:
-        Ms = (As.T @ (y[:, None] * As)) / A.shape[0]
-        lam, V = np.linalg.eigh(Ms)
-        lam1 = float(lam[-1])
-        x_init = _spectral_start(lam1, V[:, -1])
+        lam1, v1 = _leading_eig(_spectral_matrix(As, y))
+        x_init = _spectral_start(lam1, v1)
         base_step = 0.1 / lam1 if lam1 > 0 else 1.0
     else:
         scale = float(x_init @ x_init)

@@ -108,7 +108,7 @@ class X0Spec:
     """
 
     mode: str
-    vector: tuple | None = None
+    vector: tuple[float, ...] | None = None
     R0: float | None = None
     d: int | None = None
 
@@ -142,8 +142,8 @@ class ExperimentConfig:
     ensemble: Ensemble
     noise: NoiseModel
     x0_spec: X0Spec
-    N_grid: tuple
-    sigma_grid: tuple
+    N_grid: tuple[int, ...]
+    sigma_grid: tuple[float, ...]
     trials_per_cell: int
     solver: SolverSpec
     master_seed: int
@@ -390,10 +390,10 @@ def _to_plain(obj):
 def _from_plain(cls, data, where):
     """Build dataclass `cls` from JSON values, converting each by its field's annotation.
 
-    Annotations may be int, float, str, tuple, a dataclass (read recursively) or
-    `X | None`.  Absent fields with a default take it; a missing required field,
-    an unknown key or a value that does not convert is a ConfigError naming the
-    dotted path from `where`.
+    Annotations may be int, float, str, tuple[X, ...] (a JSON array, read entry by
+    entry), a dataclass (read recursively) or `X | None`.  Absent fields with a
+    default take it; a missing required field, an unknown key or a value that does
+    not convert is a ConfigError naming the dotted path from `where`.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {type(data).__name__}")
@@ -415,14 +415,20 @@ def _from_plain(cls, data, where):
 
 
 def _convert(tp, value, where):
-    if typing.get_args(tp):  # X | None
+    if type(None) in typing.get_args(tp):  # X | None
         if value is None:
             return None
         (tp,) = set(typing.get_args(tp)) - {type(None)}
     if dataclasses.is_dataclass(tp):
         return _from_plain(tp, value, where)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a JSON array, got {type(value).__name__}")
+        return tuple(_convert(typing.get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if tp is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if tp is float and isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         return tp(value)
     except (TypeError, ValueError) as exc:

@@ -149,10 +149,26 @@ def test_spectral_init_zero_responses():
 
 
 def test_spectral_init_explicit_two_by_two():
-    # power iteration stops on eigenvalue change, so the eigenvector is only
-    # accurate to about the square root of that tolerance
     s = _sample(np.eye(2), [4.0, 0.0])
-    np.testing.assert_allclose(spectral_init(s), [math.sqrt(2.0), 0.0], atol=1e-4)
+    np.testing.assert_allclose(spectral_init(s), [math.sqrt(2.0), 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("a, expected", [
+    ([1.0, -1.0], [1.0, -1.0]),            # eigh's vector starts negative
+    ([0.0, 1.0, -1.0], [0.0, 1.0, -1.0]),  # its first coordinate is zero
+])
+def test_spectral_init_sign_convention(a, expected):
+    # spectral matrix a a^T: top eigenpair (|a|^2, a/|a|), so the start is a up
+    # to sign, and the first non-negligible coordinate decides the sign; eigh's
+    # own vector points the other way, so the convention has to flip it
+    s = _sample([a], [1.0])
+    assert np.linalg.eigh(erm._spectral_matrix(s.A, s.y))[1][:, -1] @ expected < 0
+    np.testing.assert_allclose(spectral_init(s), expected, atol=1e-12)
+
+
+def test_spectral_init_negative_definite_matrix_gives_zero():
+    s = _sample(np.eye(2), [-1.0, -2.0])
+    np.testing.assert_array_equal(spectral_init(s), np.zeros(2))
 
 
 def test_spectral_init_quality_monte_carlo():

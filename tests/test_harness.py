@@ -605,6 +605,32 @@ def test_config_integer_fields_reject_truncation(section, key, value):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("section, key, value, where, message", [
+    ((), "success_sign_error", True, "success_sign_error", "expected a number, got True"),
+    (("noise",), "scale", False, "noise.scale", "expected a number, got False"),
+    ((), "N_grid", [256.7, 512], "N_grid[0]", "expected an integer, got 256.7"),
+    ((), "N_grid", [256, True], "N_grid[1]", "expected an integer, got True"),
+    ((), "sigma_grid", [True], "sigma_grid[0]", "expected a number, got True"),
+    ((), "N_grid", "512", "N_grid", "expected a JSON array, got str"),
+])
+def test_config_float_and_grid_fields_are_checked(section, key, value, where, message):
+    data = config_to_dict(_sparse_config())
+    target = data
+    for name in section:
+        target = target[name]
+    target[key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"config.{where}: {message}")):
+        config_from_dict(data)
+
+
+def test_config_grid_entries_are_converted():
+    data = config_to_dict(_sparse_config())
+    data["N_grid"], data["sigma_grid"] = [200.0, "512"], ["0", 0]
+    loaded = config_from_dict(data)
+    assert loaded == _sparse_config(N_grid=(200, 512), sigma_grid=(0.0, 0.0))
+    assert [type(N) for N in loaded.N_grid] == [int, int]
+
+
 def test_config_section_must_be_an_object():
     data = config_to_dict(_sparse_config())
     data["solver"]["config"] = [1]

@@ -1,5 +1,5 @@
-"""Package layout: no private cross-module imports, no dead private helpers; config fields
-the JSON codec can read."""
+"""Package layout: no private cross-module imports, no dead private helpers, no generator
+seeded with a literal; config fields the JSON codec can read."""
 
 import ast
 import collections
@@ -73,6 +73,28 @@ def test_private_module_names_are_referenced():
     assert not dead, f"private names nothing in the package references: {dead}"
 
 
+def _literal_seeds(path):
+    """Calls of default_rng or SeedSequence in `path` that pass a numeric literal."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        args = [*node.args, *(kw.value for kw in node.keywords)]
+        if name in ("default_rng", "SeedSequence") and any(
+                isinstance(a, ast.Constant) and type(a.value) in (int, float) for a in args):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_generator_seeded_with_a_literal(path):
+    # seeds come from the caller's seed through ensembles.substream / sub_seed;
+    # a constant seed is a hidden second source of randomness
+    found = _literal_seeds(path)
+    assert not found, f"{path.name} seeds a generator with a literal: {found}"
+
+
 def _codec_violations(cls, path):
     """Fields under dataclass `cls` whose annotation the config JSON codec does not convert."""
     found = []
@@ -81,14 +103,17 @@ def _codec_violations(cls, path):
         if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 \
                 and type(None) in args:
             (tp,) = set(args) - {type(None)}
+        if typing.get_origin(tp) is tuple and typing.get_args(tp)[1:] == (Ellipsis,):
+            tp = typing.get_args(tp)[0]
         if dataclasses.is_dataclass(tp):
             found += _codec_violations(tp, f"{path}.{name}")
-        elif tp not in (int, float, str, tuple):
+        elif tp not in (int, float, str):
             found.append(f"{path}.{name}: {tp}")
     return found
 
 
 def test_config_fields_have_codec_types():
-    # the codec converts int, float, str, tuple, X | None and nested dataclasses
+    # the codec converts int, float, str, tuple[X, ...], X | None and nested dataclasses;
+    # a bare tuple would pass its entries through unchecked
     found = _codec_violations(ExperimentConfig, "ExperimentConfig")
     assert not found, f"config fields the JSON codec cannot convert: {found}"
