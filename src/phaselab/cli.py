@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import empirics, sets
+from .ensembles import substream
 from .errors import BudgetExceededError, ConfigError, InsufficientDataError, UnsupportedSetError
 from .harness import export_results, load_config, run_experiment
 
@@ -105,7 +106,7 @@ def _check_psi(samples, seed):
     spike = np.array([2.0, 0.0, 0.0, 0.0])
     if abs(empirics.psi_alpha_norm(spike, 2.0) - 2.0 / math.sqrt(math.log(5.0))) > 1e-9:
         failures.append("psi_2 spike identity")
-    rng = np.random.default_rng(seed)
+    rng = substream(seed)
     for _ in range(32):
         v = rng.standard_normal(rng.integers(1, 64))
         lam = float(np.exp(rng.uniform(-3, 3)))

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .ensembles import substream
+
 
 def psi_alpha_norm(v, alpha):
     """Discrete psi_alpha norm: inf{c > 0 : mean exp((|v_i|/c)^alpha) <= 2}.
@@ -82,7 +84,7 @@ def rearrangement_ratio_range(count, seed):
     Each vector has m in {10, 100, 1000} coordinates and alpha in {1, 2}, and is
     gaussian, exponential, geometric (2^-i) or a single spike.
     """
-    rng = np.random.default_rng(seed)
+    rng = substream(seed)
     lo, hi = math.inf, -math.inf
     for _ in range(count):
         m = int(rng.choice([10, 100, 1000]))
@@ -110,7 +112,7 @@ def paley_zygmund_admitted(count, seed):
     fraction is the smallest paley_zygmund_fraction at eta among the admitted
     draws, inf if none is.
     """
-    rng = np.random.default_rng(seed)
+    rng = substream(seed)
     measured = {}
     for beta, (eta, _) in sorted(PZ_LEVELS.items()):
         power = {2.0: 1, 4.0: 2, 8.0: 3}[beta]
@@ -208,7 +210,7 @@ def random_norm_triples(count, seed, dim=3):
     Mixes independent pairs, pairs with x near +-x0, and pairs rescaled to
     put the product near the threshold R; ||x0|| straddles sqrt(R)/4.
     """
-    rng = np.random.default_rng(seed)
+    rng = substream(seed)
     R = np.exp(rng.uniform(math.log(0.25), math.log(4.0), count))
     sqrt_r = np.sqrt(R)
 

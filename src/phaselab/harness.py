@@ -22,9 +22,6 @@ from .erm import SolverConfig, TrialResult, solve_oracle, solve_pgd
 from .errors import BudgetExceededError, ConfigError, InsufficientDataError
 from .sets import ConstraintSet, l1_display, random_feasible, toward_shell
 
-REGIMES = ("noise_free_r0", "high_noise_r2", "large_signal_sN", "small_signal_vN", "low_snr_rN")
-
-
 @dataclass(frozen=True)
 class RatePrediction:
     """Predicted error rates (constants set to 1).
@@ -118,7 +115,7 @@ class X0Spec:
         if self.mode == "explicit":
             if self.vector is None:
                 raise ValueError("explicit x0 needs a vector")
-            object.__setattr__(self, "vector", tuple(float(t) for t in self.vector))
+            object.__setattr__(self, "vector", _convert(tuple[float, ...], self.vector, "vector"))
         else:
             if self.R0 is None or self.R0 < 0:
                 raise ValueError(f"{self.mode} needs R0 >= 0")
@@ -150,8 +147,9 @@ class ExperimentConfig:
     success_sign_error: float = 1e-6
 
     def __post_init__(self):
-        object.__setattr__(self, "N_grid", tuple(int(N) for N in self.N_grid))
-        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
+        object.__setattr__(self, "N_grid", _convert(tuple[int, ...], self.N_grid, "N_grid"))
+        object.__setattr__(self, "sigma_grid",
+                           _convert(tuple[float, ...], self.sigma_grid, "sigma_grid"))
         if not self.N_grid or not self.sigma_grid:
             raise ValueError("N_grid and sigma_grid must be non-empty")
         if any(N < 1 for N in self.N_grid):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensembles import sub_seed
+from .ensembles import sub_seed, substream
 from .errors import UnsupportedSetError
 
 SET_KINDS = ("sparse_cap", "l1_ball", "l2_ball", "ambient")
@@ -227,23 +227,27 @@ def _l1_dual_from_sorted(radius, r, B, S1, S2):
     return np.min([B[:, 0] * radius, dual(upper), dual(lower), dual(lam)], axis=0)
 
 
-def _support_batch(cset, r, G):
+def _cap_support(cset, G):
+    """Support function of the set's r-caps at the rows of G, as `r -> values`; what
+    does not depend on r (row norms, top-d energies, the l1 sorted form) is computed once."""
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    if cset.kind == "ambient":
-        return r * np.linalg.norm(G, axis=1)
-    if cset.kind == "l2_ball":
-        return min(r, cset.radius) * np.linalg.norm(G, axis=1)
+    if cset.kind == "l1_ball":
+        sorted_form = _sorted_form(G)
+        return lambda r: _l1_dual_from_sorted(cset.radius, r, *sorted_form)
     if cset.kind == "sparse_cap":
-        return r * np.sqrt(_topd_energy(np.abs(G), cset.d))
-    return _l1_dual_from_sorted(cset.radius, r, *_sorted_form(G))
+        base = np.sqrt(_topd_energy(np.abs(G), cset.d))
+    else:
+        base = np.linalg.norm(G, axis=1)
+    if cset.kind == "l2_ball":
+        return lambda r: min(r, cset.radius) * base
+    return lambda r: r * base
 
 
 def support_function_cap(cset, r, g):
     """sup |<g, t>| over t in the set intersected with the r-ball (exact)."""
     if not r > 0:
         raise ValueError(f"cap radius must be > 0, got {r}")
-    g = _check_vector(cset, g)
-    return float(_support_batch(cset, r, g[None, :])[0])
+    return float(_cap_support(cset, _check_vector(cset, g))(r)[0])
 
 
 @dataclass(frozen=True)
@@ -259,9 +263,7 @@ def mean_width_mc(cset, r, gaussian_draws, seed):
         raise ValueError(f"cap radius must be > 0, got {r}")
     if gaussian_draws < 2:
         raise ValueError(f"need at least 2 gaussian draws, got {gaussian_draws}")
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((gaussian_draws, cset.n))
-    vals = _support_batch(cset, r, G)
+    vals = _cap_support(cset, substream(seed).standard_normal((gaussian_draws, cset.n)))(r)
     return WidthEstimate(
         value=float(vals.mean()),
         std_error=float(vals.std(ddof=1) / math.sqrt(gaussian_draws)),
@@ -338,30 +340,11 @@ def _max_norm(cset):
     return math.inf
 
 
-def _double(cset):
-    if cset.kind == "l1_ball":
-        return l1_ball(cset.n, 2.0 * cset.radius)
-    if cset.kind == "l2_ball":
-        return l2_ball(cset.n, 2.0 * cset.radius)
-    return cset
-
-
 def _make_width_evaluator(cset, backend, mc):
     if backend == "closed_form":
         return lambda rr: mean_width_closed_form(cset, rr)
-    rng = np.random.default_rng(mc.seed)
-    G = rng.standard_normal((mc.draws, cset.n))
-    if cset.kind == "l1_ball":
-        sorted_form = _sorted_form(G)
-        return lambda rr: float(_l1_dual_from_sorted(cset.radius, rr, *sorted_form).mean())
-    if cset.kind == "sparse_cap":
-        base = float(np.sqrt(_topd_energy(np.abs(G), cset.d)).mean())
-        return lambda rr: rr * base
-    base = float(np.linalg.norm(G, axis=1).mean())
-    if cset.kind == "l2_ball":
-        rad = cset.radius
-        return lambda rr: min(rr, rad) * base
-    return lambda rr: rr * base
+    support = _cap_support(cset, substream(mc.seed).standard_normal((mc.draws, cset.n)))
+    return lambda rr: float(support(rr).mean())
 
 
 def _inf_by_bisection(cond, r_start):
@@ -435,38 +418,21 @@ def _fp_homogeneous(cset, query, mc):
     return math.sqrt(w1 / (query.level * root_n))  # vN
 
 
-def _fp_bisect(cset, query, mc):
-    f = query.functional
-    p = _EXPONENT[f]
-    root_n = math.sqrt(query.N)
-    lvl = query.level
-    if f in ("r0", "r2"):
-        # upper envelope of the two localized-surrogate branches, widths of
-        # the doubled set, evaluated at the branch-endpoint signal norms
-        width2 = _make_width_evaluator(_double(cset), query.backend, mc)
-        dmax = _max_norm(cset)
+def _width_phi(cset, query, mc):
+    """Phi of rN/sN/vN (the cap width) and of r0/r2 on a ball."""
+    if query.functional not in ("r0", "r2"):
+        return _make_width_evaluator(cset, query.backend, mc)
+    # upper envelope of the two localized-surrogate branches, widths of the
+    # doubled set, evaluated at the branch-endpoint signal norms
+    width2 = _make_width_evaluator(replace(cset, radius=2.0 * cset.radius), query.backend, mc)
+    dmax = _max_norm(cset)
 
-        def phi(r):
-            small = width2(math.sqrt(r)) / math.sqrt(r)
-            large = (dmax / r) * width2(r / dmax)
-            return max(small, large)
+    def phi(r):
+        small = width2(math.sqrt(r)) / math.sqrt(r)
+        large = (dmax / r) * width2(r / dmax)
+        return max(small, large)
 
-    else:
-        phi = _make_width_evaluator(cset, query.backend, mc)
-
-    def cond(r):
-        return phi(r) <= lvl * r**p * root_n
-
-    return _inf_by_bisection(cond, 2.0 * _max_norm(cset))
-
-
-def _shell_points(cset, R0, count, rng):
-    """Points of the set with ||x|| within 1% of R0, by alternating steps."""
-    X = random_feasible(cset, rng, max(4 * count, 16))
-    X = toward_shell(cset, X, R0)
-    nrm = np.linalg.norm(X, axis=1)
-    ok = np.abs(nrm - R0) <= 0.01 * R0
-    return X[ok][:count]
+    return phi
 
 
 def toward_shell(cset, X, R0, iters=50):
@@ -481,69 +447,75 @@ def toward_shell(cset, X, R0, iters=50):
     return X
 
 
-def _fp_packing(cset, query, mc):
-    R0 = query.shell_R0
+def _packing_phi(cset, R0, mc):
+    """Phi of qN/tN: r * sqrt(log M(r)), M the largest greedy count of
+    r-separated shell points near one of `mc.centers` shell points."""
     if R0 > _max_norm(cset) * (1.0 + 1e-12):
         raise ValueError(f"shell_R0={R0} exceeds the set's largest norm {_max_norm(cset)}")
-    centers = _shell_points(cset, R0, mc.centers, np.random.default_rng(sub_seed(mc.seed, 7)))
+    # centres: points of the set with ||x|| within 1% of R0, by alternating steps
+    X = random_feasible(cset, substream(sub_seed(mc.seed, 7)), max(4 * mc.centers, 16))
+    X = toward_shell(cset, X, R0)
+    centers = X[np.abs(np.linalg.norm(X, axis=1) - R0) <= 0.01 * R0][: mc.centers]
     if centers.shape[0] == 0:
         raise ValueError(f"no shell points found at R0={R0} for kind {cset.kind!r}")
-    p = _EXPONENT[query.functional]
-    root_n = math.sqrt(query.N)
     seeds = [sub_seed(mc.seed, 11, ci) for ci in range(centers.shape[0])]
 
     def phi(r):
-        best = 1
-        for c, s in zip(centers, seeds):
-            m = packing_count(
-                cset, c, _C0_PACKING * r, r,
-                shell_R0=R0, candidates=mc.candidates, seed=s,
-            )
-            best = max(best, m)
-        return r * math.sqrt(max(math.log(best), 0.0))
+        counts = [packing_count(cset, c, _C0_PACKING * r, r,
+                                shell_R0=R0, candidates=mc.candidates, seed=s)
+                  for c, s in zip(centers, seeds)]
+        return r * math.sqrt(math.log(max([1, *counts])))
 
-    probes = []
-
-    def cond(r):
-        val = phi(r)
-        probes.append((r, val / r**p))
-        return val <= query.level * r**p * root_n
-
-    out = _inf_by_bisection(cond, 2.0 * R0)
-    # Phi(r)/r^p should be nonincreasing; flag clear violations between
-    # positive probes (zero counts at tiny radii are expected and harmless)
-    ratios = [v for _, v in sorted(probes) if v > 0]
-    if any(b > 1.5 * a for a, b in zip(ratios, ratios[1:])):
-        warnings.warn(
-            "packing functional looks non-monotone across probed radii; "
-            "increase candidates/centers for a sharper estimate",
-            stacklevel=2,
-        )
-    return out
+    return phi
 
 
 def fixed_point(cset, query, mc=None):
     """Solve the query's fixed-point inequality on this set.
 
+    Every functional is a Phi(r) solved by one bisection, apart from the
+    exact shortcuts for cones, the ambient space and the l1 closed forms.
     Returns 0.0 when the inequality holds down to the bottom of the search
     range, math.inf when no radius satisfies it (possible for cones).
     """
     mc = mc if mc is not None else McConfig()
     f = query.functional
-    if f in ("qN", "tN"):
-        if query.backend != "monte_carlo":
-            raise UnsupportedSetError("qN/tN are packing-based; use backend='monte_carlo'")
-        return _fp_packing(cset, query, mc)
     closed_form = query.backend == "closed_form"
-    if closed_form and cset.kind not in ("sparse_cap", "l1_ball"):
+    if f in ("qN", "tN"):
+        if closed_form:
+            raise UnsupportedSetError("qN/tN are packing-based; use backend='monte_carlo'")
+        phi, r_start = _packing_phi(cset, query.shell_R0, mc), 2.0 * query.shell_R0
+    elif closed_form and cset.kind not in ("sparse_cap", "l1_ball"):
         raise UnsupportedSetError(
             f"closed_form backend covers sparse_cap and l1_ball only, not {cset.kind!r}"
         )
-    if cset.kind in ("sparse_cap", "ambient"):
+    elif cset.kind in ("sparse_cap", "ambient"):
         return _fp_homogeneous(cset, query, mc)
-    if closed_form and f in ("rN", "sN", "vN"):
+    elif closed_form and f in ("rN", "sN", "vN"):
         return _fp_l1_closed(cset, query)
-    return _fp_bisect(cset, query, mc)
+    else:
+        phi, r_start = _width_phi(cset, query, mc), 2.0 * _max_norm(cset)
+
+    p = _EXPONENT[f]
+    root_n = math.sqrt(query.N)
+    probes = []
+
+    def cond(r):
+        val, rp = phi(r), r**p
+        if rp > 0:  # r**p underflows on very small sets; such probes give no ratio
+            probes.append((r, val / rp))
+        return val <= query.level * rp * root_n
+
+    out = _inf_by_bisection(cond, r_start)
+    # Phi(r)/r^p should be nonincreasing; flag clear violations between
+    # positive probes (zero packing counts at tiny radii are expected and harmless)
+    ratios = [v for _, v in sorted(probes) if v > 0]
+    if any(b > 1.5 * a for a, b in zip(ratios, ratios[1:])):
+        warnings.warn(
+            f"{f} functional looks non-monotone across probed radii; increase the "
+            "Monte Carlo budget (draws, candidates, centers) for a sharper estimate",
+            stacklevel=2,
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +567,7 @@ def packing_count(cset, center, ball_radius, separation, shell_R0=None,
 
 
 def _sample_candidates(cset, center, ball_radius, shell_R0, count, seed):
-    rng = np.random.default_rng(seed)
+    rng = substream(seed)
     n = cset.n
     D = rng.standard_normal((count, n))
     D /= np.linalg.norm(D, axis=1, keepdims=True)

@@ -1,13 +1,15 @@
 """End-to-end acceptance checks at desk scale.
 
-One test per shipping criterion, in order.  Every test prints a single
-``[acceptance k] PASS/FAIL`` line with the measured numbers (emitted with
-capture disabled so the line survives into piped logs) and then asserts.
+One test per shipping criterion, in order, and one check that reuses crit 6's
+queries.  Every criterion prints a single ``[acceptance k] PASS/FAIL`` line
+with the measured numbers (emitted with capture disabled so the line survives
+into piped logs) and then asserts.
 Seeds are frozen; thresholds are the contract, not tuned to the draws.
 """
 
 import math
 import time
+import warnings
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from phaselab import (
     generate_sample,
     gradient,
     l1_ball,
+    l2_ball,
     mean_width_closed_form,
     mean_width_mc,
     norm_equivalence_violations,
@@ -184,6 +187,23 @@ def test_criterion_6_fixed_point_backends_agree(capfd):
     _report(capfd, 6, "fixed-point backend consistency", ok,
             f"mc/closed in [{lo:.3f}, {hi:.3f}] over {len(_FIXED_POINT_COMBOS)} combos, "
             f"zero branch agrees={zero_ok} ({elapsed:.0f}s)")
+
+
+def test_fixed_point_monotonicity_check_silent_on_width_queries():
+    # Phi(r)/r^p is nonincreasing for every cap width: the check the bisection
+    # driver runs must not fire on crit 6's l1 queries or on l2 Monte Carlo widths
+    queries = [(l1_ball(n, 1.0), FixedPointQuery(f, level, N, backend=backend), McConfig(1024, 17))
+               for f, level, N, n in _FIXED_POINT_COMBOS
+               for backend in ("closed_form", "monte_carlo")]
+    queries += [(l2_ball(n, radius), FixedPointQuery(f, level, N, backend="monte_carlo"),
+                 McConfig(256, 3))
+                for n, radius in ((8, 1.0), (32, 2.0))
+                for f in ("r0", "r2", "rN", "sN", "vN")
+                for level, N in ((0.5, 64), (2.0, 1024))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cset, query, mc in queries:
+            fixed_point(cset, query, mc)
 
 
 def test_criterion_7_deterministic_lemma_suite(capfd):

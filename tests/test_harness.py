@@ -240,6 +240,27 @@ def test_x0_spec_validation():
         SolverSpec(kind="simulated_annealing")
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: _sparse_config(N_grid=(256.7, True)), "N_grid[0]: expected an integer, got 256.7"),
+    (lambda: _sparse_config(N_grid=(256, True)), "N_grid[1]: expected an integer, got True"),
+    (lambda: _sparse_config(sigma_grid=(True,)), "sigma_grid[0]: expected a number, got True"),
+    (lambda: X0Spec(mode="explicit", vector=(0.5, False)), "vector[1]: expected a number, got False"),
+], ids=["N_grid-float", "N_grid-bool", "sigma_grid-bool", "vector-bool"])
+def test_constructor_checks_grid_entries_as_the_codec_does(build, message):
+    # built in Python, the grids and the explicit x0 are read with the codec's
+    # entry-by-entry checks, not truncated with int() / float()
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build()
+
+
+def test_constructor_still_converts_integral_grid_entries():
+    config = _sparse_config(N_grid=(512, 1024.0), sigma_grid=[0, 0.0])
+    assert config.N_grid == (512, 1024) and [type(N) for N in config.N_grid] == [int, int]
+    assert config.sigma_grid == (0.0, 0.0)
+    assert _sparse_config(N_grid=[200]) == _sparse_config()
+    assert X0Spec(mode="explicit", vector=[1, 0]).vector == (1.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 

@@ -1,5 +1,6 @@
-"""Package layout: no private cross-module imports, no dead private helpers, no generator
-seeded with a literal; config fields the JSON codec can read."""
+"""Package layout: no private cross-module imports, no dead module-level names, generators
+made only in `ensembles` and never seeded with a literal; config fields the JSON codec can
+read."""
 
 import ast
 import collections
@@ -40,8 +41,8 @@ def test_no_private_cross_module_imports(path):
     assert not found, f"{path.name} imports private names: {found}"
 
 
-def _private_definitions(tree):
-    """(name, node) for each module-level private function, class or constant of `tree`."""
+def _definitions(tree):
+    """(name, node) for each module-level function, class or constant of `tree` (no dunders)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -50,8 +51,7 @@ def _private_definitions(tree):
             names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
         else:
             continue
-        yield from ((name, node) for name in names
-                    if name.startswith("_") and not name.startswith("__"))
+        yield from ((name, node) for name in names if not name.startswith("__"))
 
 
 def _references(node):
@@ -63,26 +63,49 @@ def _references(node):
     )
 
 
-def test_private_module_names_are_referenced():
-    # a private helper that nothing in the package reads, outside its own definition, is dead
+def _unread_definitions(private):
+    """Module-level names (private or public) that nothing in the package reads outside
+    their own definition; names the package root imports count as read."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
     refs = sum((_references(tree) for tree in trees.values()), collections.Counter())
-    dead = [f"{module}: {name}" for module, tree in trees.items()
-            for name, node in _private_definitions(tree)
-            if refs[name] - _references(node)[name] < 1]
+    refs.update(alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names)
+    return [f"{module}: {name}" for module, tree in trees.items()
+            for name, node in _definitions(tree)
+            if name.startswith("_") == private and refs[name] - _references(node)[name] < 1]
+
+
+def test_private_module_names_are_referenced():
+    # a private helper that nothing in the package reads, outside its own definition, is dead
+    dead = _unread_definitions(private=True)
     assert not dead, f"private names nothing in the package references: {dead}"
 
 
-def _literal_seeds(path):
-    """Calls of default_rng or SeedSequence in `path` that pass a numeric literal."""
-    found = []
+def test_public_module_names_are_exported_or_read():
+    # a public name that `phaselab` does not export and nothing in the package reads is dead
+    dead = _unread_definitions(private=False)
+    assert not dead, f"public names neither exported nor read in the package: {dead}"
+
+
+def _calls(path, names):
+    """(name, node) for each call in `path` of a function or method named in `names`."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if not isinstance(node, ast.Call):
-            continue
-        name = getattr(node.func, "attr", getattr(node.func, "id", None))
-        args = [*node.args, *(kw.value for kw in node.keywords)]
-        if name in ("default_rng", "SeedSequence") and any(
-                isinstance(a, ast.Constant) and type(a.value) in (int, float) for a in args):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None)) \
+            if isinstance(node, ast.Call) else None
+        if name in names:
+            yield name, node
+
+
+def _literal_seeds(path):
+    """Calls in `path` that seed a generator with a numeric literal: any argument of
+    default_rng or SeedSequence, the master seed (first argument) of substream or sub_seed."""
+    found = []
+    for name, node in _calls(path, ("default_rng", "SeedSequence", "substream", "sub_seed")):
+        if name in ("substream", "sub_seed"):  # the other arguments are the consumer's key
+            args = [*node.args[:1], *(kw.value for kw in node.keywords if kw.arg == "seed")]
+        else:
+            args = [*node.args, *(kw.value for kw in node.keywords)]
+        if any(isinstance(a, ast.Constant) and type(a.value) in (int, float) for a in args):
             found.append(f"line {node.lineno}: {ast.unparse(node)}")
     return found
 
@@ -93,6 +116,14 @@ def test_no_generator_seeded_with_a_literal(path):
     # a constant seed is a hidden second source of randomness
     found = _literal_seeds(path)
     assert not found, f"{path.name} seeds a generator with a literal: {found}"
+
+
+def test_generators_are_made_only_in_ensembles():
+    # one way to derive seeds: every other module asks ensembles.substream / sub_seed
+    found = [f"{path.name} line {node.lineno}: {ast.unparse(node)}"
+             for path in MODULES if path.name != "ensembles.py"
+             for _, node in _calls(path, ("default_rng", "SeedSequence"))]
+    assert not found, f"generators made outside ensembles: {found}"
 
 
 def _codec_violations(cls, path):

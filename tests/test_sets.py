@@ -337,7 +337,7 @@ def test_support_l1_equals_dense_scan_and_feasible_maximum(G, radius, log_ratio)
     # the cap support function is a maximum over feasible points: the dense
     # dual scan equals it, and for small n a primal/dual sandwich brackets it
     r = radius * math.exp(log_ratio)
-    vals = sets._support_batch(l1_ball(G.shape[1], radius), r, G)
+    vals = sets._cap_support(l1_ball(G.shape[1], radius), G)(r)
     np.testing.assert_allclose(vals, _l1_cap_support_dense(radius, r, G), rtol=1e-12, atol=0.0)
     if G.shape[1] <= 12:
         for g, val in zip(G, vals):
@@ -550,13 +550,50 @@ def test_fixed_point_mc_satisfies_defining_inequality():
 @pytest.mark.parametrize("n, functional, level, N, expected", [
     (2048, "rN", 1.0, 128, 0.2724217815063743),
     (1024, "sN", 0.5, 1024, 0.44254404984365797),
+    (256, "r0", 0.2, 64, 14.27827688513346),
+    (256, "r2", 1.0, 512, 0.44421648755395604),
 ])
 def test_fixed_point_l1_mc_values_pinned(n, functional, level, N, expected):
-    # values recorded at commit ca2ac62, before the l1 cap support function
-    # moved from a dense breakpoint scan to a per-row bisection
+    # rN/sN recorded at commit ca2ac62, before the l1 cap support function
+    # moved from a dense breakpoint scan to a per-row bisection; r0/r2 at
+    # a2abe5c, before every fixed point shared one bisection driver
     q = FixedPointQuery(functional=functional, level=level, N=N, backend="monte_carlo")
     r_star = fixed_point(l1_ball(n, 1.0), q, McConfig(draws=256, seed=3))
     assert abs(r_star - expected) <= 1e-12 * expected
+
+
+_PACKING_MC = McConfig(draws=256, seed=3, candidates=256, centers=2)
+
+
+@pytest.mark.parametrize("cset, query, mc, expected, rtol", [
+    (l1_ball(256, 1.0), FixedPointQuery("r0", 0.2, 64), McConfig(draws=256, seed=3),
+     10.226839756999313, 1e-12),
+    (l1_ball(256, 1.0), FixedPointQuery("r2", 1.0, 512), McConfig(draws=256, seed=3),
+     0.401768109197826, 1e-12),
+    # the Monte Carlo l2 width is now mean(r * |g|), not r * mean(|g|): rounding only
+    (l2_ball(16, 1.0), FixedPointQuery("sN", 0.5, 256, backend="monte_carlo"),
+     McConfig(draws=256, seed=3), 0.4934182309237898, 1e-15),
+    (l2_ball(4, 1.0), FixedPointQuery("qN", 1.0, 256, shell_R0=0.9, backend="monte_carlo"),
+     _PACKING_MC, 0.10905349958784964, 1e-12),
+    (l2_ball(4, 1.0), FixedPointQuery("tN", 1.0, 256, shell_R0=0.9, backend="monte_carlo"),
+     _PACKING_MC, 0.32890142734965877, 1e-12),
+], ids=["l1-r0-closed", "l1-r2-closed", "l2-sN-mc", "l2-qN", "l2-tN"])
+def test_fixed_point_bisection_values_pinned(cset, query, mc, expected, rtol):
+    # recorded at commit a2abe5c, before widths and packings shared one
+    # bisection driver
+    assert abs(fixed_point(cset, query, mc) - expected) <= rtol * expected
+
+
+def test_fixed_point_warns_when_phi_ratio_jumps(monkeypatch):
+    # a packing count that jumps as r grows makes Phi(r)/r^2 increase; the
+    # driver looks packing_count up at call time, so the fake is what it probes
+    def jumpy_count(cset, center, ball_radius, separation, **kwargs):
+        return 2 if separation < 0.5 else 10**6
+
+    monkeypatch.setattr(sets, "packing_count", jumpy_count)
+    q = FixedPointQuery("qN", 1.0, 256, shell_R0=0.9, backend="monte_carlo")
+    with pytest.warns(UserWarning, match="non-monotone"):
+        fixed_point(l2_ball(4, 1.0), q, _PACKING_MC)
 
 
 def test_fixed_point_r2_bisect_defining_inequality():
@@ -574,6 +611,12 @@ def test_fixed_point_r2_bisect_defining_inequality():
     bound = lambda r: q.level * r * math.sqrt(q.N)
     assert phi(r_star) <= bound(r_star) * (1.0 + 1e-9)
     assert phi(0.9 * r_star) > bound(0.9 * r_star)
+
+
+def test_fixed_point_on_a_tiny_ball_does_not_divide_by_zero():
+    # the probes' r^3 underflows to 0; the monotonicity check must skip them
+    q = FixedPointQuery("vN", 1.0, 64, backend="monte_carlo")
+    assert fixed_point(l1_ball(8, 1e-110), q, McConfig(draws=64)) == math.inf
 
 
 def test_fixed_point_query_validation():
