@@ -34,7 +34,7 @@ def psi_alpha_norm(v, alpha):
     hi = 2.0 * mx / math.log(2.0) ** (1.0 / alpha)
 
     def budget(c):
-        return float(np.mean(np.exp((absv / c) ** alpha)))
+        return float(np.exp((absv / c) ** alpha).sum()) / m
 
     for _ in range(100):
         if hi - lo <= 1e-10 * hi:

@@ -96,6 +96,25 @@ def contains(cset, x, tol=1e-9):
 # projections
 
 
+def _l1_threshold(U, radius, n):
+    """Soft threshold of the l1(radius) projection for rows of n magnitudes
+    sorted descending (Duchi, Shalev-Shwartz, Singer & Chandra, ICML 2008).
+
+    U holds the rows' first U.shape[1] entries; the rest are zeros.
+    """
+    K = U.shape[1]
+    css = np.cumsum(U, axis=1)
+    css -= radius
+    kmax = (U > css / np.arange(1, K + 1)).sum(axis=1)   # prefix-true pattern
+    # past column K the prefix sum stays at its last value, so the zero
+    # entries there are active exactly where that value is below the radius
+    if K < n:
+        last = css[:, -1]
+        short = np.flatnonzero(last < 0.0)
+        kmax[short] += (0.0 > last[short, None] / np.arange(K + 1, n + 1)).sum(axis=1)
+    return css[np.arange(U.shape[0]), np.minimum(kmax, K) - 1] / kmax
+
+
 def _project_l1_batch(X, radius):
     """Row-wise Euclidean projection onto the l1 ball (sort/threshold)."""
     X = np.array(X, dtype=float, copy=True)
@@ -103,12 +122,7 @@ def _project_l1_batch(X, radius):
     over = absX.sum(axis=1) > radius
     if not over.any():
         return X
-    U = -np.sort(-absX[over], axis=1)
-    k = np.arange(1, X.shape[1] + 1)
-    css = np.cumsum(U, axis=1) - radius
-    active = U - css / k > 0.0          # prefix-true pattern
-    kmax = active.sum(axis=1)
-    theta = css[np.arange(U.shape[0]), kmax - 1] / kmax
+    theta = _l1_threshold(-np.sort(-absX[over], axis=1), radius, X.shape[1])
     X[over] = np.sign(X[over]) * np.maximum(absX[over] - theta[:, None], 0.0)
     return X
 
@@ -176,9 +190,18 @@ def _topd_energy(absG, d):
 
 
 def _sorted_form(G):
-    """|G| sorted descending per row, and the prefix sums of it and its square."""
-    B = -np.sort(-np.abs(G), axis=1)
-    return B, np.cumsum(B, axis=1), np.cumsum(B * B, axis=1)
+    """|G| sorted descending per row, in G's place, and the prefix sums of it
+    and its square.
+
+    Built in place: on a large draw these arrays set a Monte Carlo fixed
+    point's peak memory.
+    """
+    B = np.abs(G, out=G)
+    np.negative(B, out=B)
+    B.sort(axis=1)
+    np.negative(B, out=B)
+    S2 = np.square(B)
+    return B, np.cumsum(B, axis=1), np.cumsum(S2, axis=1, out=S2)
 
 
 def _l1_dual_from_sorted(radius, r, B, S1, S2):
@@ -229,7 +252,8 @@ def _l1_dual_from_sorted(radius, r, B, S1, S2):
 
 def _cap_support(cset, G):
     """Support function of the set's r-caps at the rows of G, as `r -> values`; what
-    does not depend on r (row norms, top-d energies, the l1 sorted form) is computed once."""
+    does not depend on r (row norms, top-d energies, the l1 sorted form) is computed once.
+    On an l1 ball the sorted form overwrites G."""
     G = np.atleast_2d(np.asarray(G, dtype=float))
     if cset.kind == "l1_ball":
         sorted_form = _sorted_form(G)
@@ -247,7 +271,7 @@ def support_function_cap(cset, r, g):
     """sup |<g, t>| over t in the set intersected with the r-ball (exact)."""
     if not r > 0:
         raise ValueError(f"cap radius must be > 0, got {r}")
-    return float(_cap_support(cset, _check_vector(cset, g))(r)[0])
+    return float(_cap_support(cset, _check_vector(cset, g).copy())(r)[0])
 
 
 @dataclass(frozen=True)
@@ -437,14 +461,93 @@ def _width_phi(cset, query, mc):
 
 def toward_shell(cset, X, R0, iters=50):
     """Rows of X moved toward the shell ||x|| = R0 of the set: `iters` rounds
-    of rescaling to norm R0 and projecting back."""
+    of rescaling to norm R0 and projecting back.  A row stops early once it is
+    fixed or alternates between two values, with the same result."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    for _ in range(iters):
-        nrm = np.linalg.norm(X, axis=1, keepdims=True)
+    if cset.kind != "l1_ball":
+        def step(Y):
+            nrm = np.linalg.norm(Y, axis=1, keepdims=True)
+            nrm[nrm == 0.0] = 1.0
+            return (_project_batch(cset, Y * (R0 / nrm)),)
+
+        return _iterate_rows(step, (X.copy(),), iters)
+
+    def l1_step(A, U):
+        # A = |X|, and U the leading columns of A sorted descending per row; the
+        # columns past U's are zero in every row.  Rescaling by s > 0 and
+        # subtracting a threshold are monotone in each entry in floating point
+        # too, so U stays A sorted without re-sorting; norms and sums still run
+        # over A in its own order, so every rounding matches a projection that
+        # sorts every round
+        nrm = np.linalg.norm(A, axis=1, keepdims=True)
         nrm[nrm == 0.0] = 1.0
-        X = X * (R0 / nrm)
-        X = _project_batch(cset, X)
-    return X
+        s = R0 / nrm
+        B = A * s
+        U *= s
+        over = B.sum(axis=1) > cset.radius
+        theta = np.where(over, _l1_threshold(U, cset.radius, cset.n), 0.0)
+        # the pairwise row sum can call a row over while the sequential prefix
+        # sums give theta < 0; zero entries must stay zero, as sign(0) kept them
+        neg = np.flatnonzero(theta < 0.0)
+        zeros = B[neg] == 0.0
+        B -= theta[:, None]
+        U -= theta[:, None]
+        np.maximum(B, 0.0, out=B)
+        np.maximum(U, 0.0, out=U)
+        if neg.size:
+            B[neg] = np.where(zeros, 0.0, B[neg])
+            U[neg] = -np.sort(-B[neg], axis=1)[:, : U.shape[1]]
+        # zeros stay zero, so drop sorted columns that are zero in every row
+        width = U.shape[1]
+        while width > 1 and not U[:, width - 1].any():
+            width -= 1
+        return B, U[:, :width].copy() if width < U.shape[1] else U
+
+    A = np.abs(X)
+    U = np.negative(A)
+    U.sort(axis=1)
+    A = _iterate_rows(l1_step, (A, np.negative(U, out=U)), iters)
+    return np.copysign(A, X, out=A)
+
+
+def _iterate_rows(step, state, iters):
+    """`iters` rounds of a row-wise map on a batch.
+
+    `state` is a tuple of arrays, one row per batch row; `step` maps it to
+    the next round's tuple and leaves the first array, the rows' values,
+    unmodified.  Returns that first array of `state`, overwritten with the
+    final values.  A round is a function of its row alone, so a row whose
+    value comes back to where it was one or two rounds earlier repeats from
+    then on: it leaves the batch with the value the remaining rounds would
+    end on.
+    """
+    out = X = back = state[0]            # back: the values one round earlier
+    live = np.arange(out.shape[0])
+    # a row that repeats repeats its weighted sum: only such rows are compared
+    # (einsum, not BLAS: the sums need no threads)
+    weights = np.arange(1.0, X.shape[1] + 1.0)
+    key = np.einsum("ij,j->i", X, weights)
+    back_key = np.full_like(key, np.nan)
+    for left in range(iters - 1, -1, -1):
+        if not live.size:
+            break
+        state = step(*state)
+        Y = state[0]
+        new_key = np.einsum("ij,j->i", Y, weights)
+        ended = np.zeros(live.size, dtype=bool)
+        rows = np.flatnonzero(new_key == key)
+        ended[rows] = (Y[rows] == X[rows]).all(axis=1)
+        rows = np.flatnonzero((new_key == back_key) & ~ended)
+        ended[rows] = (Y[rows] == back[rows]).all(axis=1)
+        if ended.any():
+            # fixed rows have X == Y; two-cycles alternate Y, X, Y, ...
+            out[live[ended]] = (X if left % 2 else Y)[ended]
+            keep = ~ended
+            live, X, key, new_key = live[keep], X[keep], key[keep], new_key[keep]
+            state = tuple(a[keep] for a in state)
+        X, back, key, back_key = state[0], X, new_key, key
+    out[live] = X
+    return out
 
 
 def _packing_phi(cset, R0, mc):

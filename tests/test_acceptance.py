@@ -286,6 +286,7 @@ def test_criterion_9_minimax_sandwich(capfd):
     # median sign error within a factor of 32 (all constants set to 1)
     n, N, sigma, R0 = 64, 4096, 0.5, 1.0
     cset = l1_ball(n, 1.0)
+    start = time.monotonic()
     table = run_experiment(
         _config(cset, (N,), (sigma,), R0, "pgd", 25, 909, d=1, restarts=4),
         threads=1,
@@ -297,7 +298,8 @@ def test_criterion_9_minimax_sandwich(capfd):
         FixedPointQuery("qN", 1.0, N, shell_R0=R0, backend="monte_carlo"),
         mc=McConfig(draws=512, seed=11, candidates=2048, centers=4),
     )
-    ok = q_star / 32.0 <= observed <= 32.0 * upper
+    elapsed = time.monotonic() - start
+    ok = q_star / 32.0 <= observed <= 32.0 * upper and elapsed <= 120.0
     _report(capfd, 9, "minimax sandwich", ok,
             f"{q_star / 32.0:.4g} <= median sign_error {observed:.4g} "
-            f"<= {32.0 * upper:.4g} (q*={q_star:.4g}, upper rate={upper:.4g})")
+            f"<= {32.0 * upper:.4g} (q*={q_star:.4g}, upper rate={upper:.4g}) ({elapsed:.0f}s)")

@@ -7,7 +7,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from phaselab import (
     ConstraintSet,
@@ -169,6 +169,76 @@ def test_project_l1_soft_threshold_structure():
 
 
 # ---------------------------------------------------------------------------
+# moving points onto the shell
+
+
+def _toward_shell_reference(cset, X, R0, iters):
+    """The loop `toward_shell` replaced: every row rescaled and projected,
+    with a fresh sort for the l1 ball, in every round."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    for _ in range(iters):
+        nrm = np.linalg.norm(X, axis=1, keepdims=True)
+        nrm[nrm == 0.0] = 1.0
+        X = sets._project_batch(cset, X * (R0 / nrm))
+    return X
+
+
+@st.composite
+def _shell_inputs(draw):
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(sets.SET_KINDS))
+    radius = draw(st.floats(0.1, 4.0))
+    cset = {"sparse_cap": sparse_cap(n, draw(st.integers(1, n))), "l1_ball": l1_ball(n, radius),
+            "l2_ball": l2_ball(n, radius), "ambient": ambient(n)}[kind]
+    R0 = radius * draw(st.floats(0.01, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((8, n)) * rng.uniform(0.0, 3.0, size=(8, 1))
+    X[0] = 0.0                          # a zero row
+    X[1] = draw(st.floats(-3.0, 3.0))   # an all-equal row
+    X[2] = 0.0
+    X[2, 0] = R0                        # on the shell, inside every kind
+    X[3] *= R0 / max(np.linalg.norm(X[3]), 1e-300)   # on the shell of the ambient space
+    X[4, : n // 2] = 0.0                # zero entries among moving ones
+    return cset, X, R0
+
+
+def _negative_threshold_case():
+    # row 276 reaches round 43 with its pairwise row sum over the radius and its
+    # sequential prefix sums not, so theta < 0; a threshold applied to the zero
+    # entries turns 161 of them into 1.1e-18
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((300, 200)) * rng.uniform(0.0, 3.0, size=(300, 1))
+    return l1_ball(200, 2.0), X, 0.5
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(inputs=_shell_inputs(), iters=st.sampled_from([1, 7, 50, 200]))
+@example(inputs=_negative_threshold_case(), iters=50)
+def test_toward_shell_equals_the_reference_loop(inputs, iters):
+    cset, X, R0 = inputs
+    assert np.array_equal(sets.toward_shell(cset, X, R0, iters),
+                          _toward_shell_reference(cset, X, R0, iters))
+
+
+def test_toward_shell_settled_rows_leave(monkeypatch):
+    # rows on an l2 shell inside the ball stop moving, or alternate between two
+    # values one ulp apart, within three rounds; none of the 10^4 rounds after run
+    calls = []
+    project_batch = sets._project_batch
+
+    def counting(cset, X):
+        calls.append(X.shape[0])
+        return project_batch(cset, X)
+
+    monkeypatch.setattr(sets, "_project_batch", counting)
+    X = np.random.default_rng(0).standard_normal((64, 8))
+    Y = sets.toward_shell(l2_ball(8), X, 0.5, iters=10_000)
+    assert len(calls) <= 3
+    monkeypatch.setattr(sets, "_project_batch", project_batch)
+    assert np.array_equal(Y, _toward_shell_reference(l2_ball(8), X, 0.5, 10_000))
+
+
+# ---------------------------------------------------------------------------
 # support functions of localized caps
 
 
@@ -189,6 +259,13 @@ def test_support_hand_cases():
     assert abs(val - 6.0) <= 1e-12
     val = support_function_cap(ambient(2), 0.25, [3.0, 4.0])
     assert abs(val - 1.25) <= 1e-12
+
+
+def test_support_leaves_its_input_alone():
+    # the l1 sorted form is built in the draws' place; a caller's vector is copied
+    g = np.array([3.0, -1.0, 2.0])
+    support_function_cap(l1_ball(3, 1.0), 0.5, g)
+    np.testing.assert_array_equal(g, [3.0, -1.0, 2.0])
 
 
 def test_support_positive_homogeneity_in_g():
@@ -337,7 +414,7 @@ def test_support_l1_equals_dense_scan_and_feasible_maximum(G, radius, log_ratio)
     # the cap support function is a maximum over feasible points: the dense
     # dual scan equals it, and for small n a primal/dual sandwich brackets it
     r = radius * math.exp(log_ratio)
-    vals = sets._cap_support(l1_ball(G.shape[1], radius), G)(r)
+    vals = sets._cap_support(l1_ball(G.shape[1], radius), G.copy())(r)
     np.testing.assert_allclose(vals, _l1_cap_support_dense(radius, r, G), rtol=1e-12, atol=0.0)
     if G.shape[1] <= 12:
         for g, val in zip(G, vals):
@@ -577,10 +654,20 @@ _PACKING_MC = McConfig(draws=256, seed=3, candidates=256, centers=2)
      _PACKING_MC, 0.10905349958784964, 1e-12),
     (l2_ball(4, 1.0), FixedPointQuery("tN", 1.0, 256, shell_R0=0.9, backend="monte_carlo"),
      _PACKING_MC, 0.32890142734965877, 1e-12),
-], ids=["l1-r0-closed", "l1-r2-closed", "l2-sN-mc", "l2-qN", "l2-tN"])
+    (l1_ball(64, 1.0), FixedPointQuery("qN", 1.0, 256, shell_R0=0.3, backend="monte_carlo"),
+     _PACKING_MC, 0.1464830067381504, 0.0),
+    (l1_ball(64, 1.0), FixedPointQuery("qN", 1.0, 256, shell_R0=0.5, backend="monte_carlo"),
+     _PACKING_MC, 0.11635304409559481, 0.0),
+    (l1_ball(64, 1.0), FixedPointQuery("tN", 1.0, 256, shell_R0=0.3, backend="monte_carlo"),
+     _PACKING_MC, 0.3521487533295299, 0.0),
+    (l1_ball(64, 1.0), FixedPointQuery("tN", 1.0, 256, shell_R0=0.5, backend="monte_carlo"),
+     _PACKING_MC, 0.337771436331225, 0.0),
+], ids=["l1-r0-closed", "l1-r2-closed", "l2-sN-mc", "l2-qN", "l2-tN",
+        "l1-qN-0.3", "l1-qN-0.5", "l1-tN-0.3", "l1-tN-0.5"])
 def test_fixed_point_bisection_values_pinned(cset, query, mc, expected, rtol):
     # recorded at commit a2abe5c, before widths and packings shared one
-    # bisection driver
+    # bisection driver; the l1 qN/tN values at c1995d1, before toward_shell
+    # stopped sorting every round and let settled rows leave
     assert abs(fixed_point(cset, query, mc) - expected) <= rtol * expected
 
 
