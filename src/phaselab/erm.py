@@ -251,35 +251,6 @@ def solve_pgd(sample, cset, config, seed):
 # ground-truth oracle
 
 
-def _newton_polish(As, y, x, fx, max_iter=15):
-    """A few damped Newton steps; only accepts strict objective decreases."""
-    N = As.shape[0]
-    z = As @ x
-    for iters in range(1, max_iter + 1):
-        g = _loss_gradient(As, z, y)
-        if float(np.linalg.norm(g)) <= 1e-15 * max(1.0, abs(fx)):
-            break
-        H = (4.0 / N) * ((As.T * (3.0 * z * z - y)) @ As)
-        try:
-            delta = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            break
-        t = 1.0
-        improved = False
-        for _ in range(30):
-            x_new = x - t * delta
-            zn = As @ x_new
-            f_new = _loss(zn, y)
-            if f_new < fx:
-                x, z, fx = x_new, zn, f_new
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return x, fx, iters
-
-
 @functools.lru_cache(maxsize=4)
 def _support_index_array(n, d):
     """All size-d index tuples in tiers of their largest index, lexicographic within a tier."""
@@ -376,17 +347,17 @@ def _oracle_candidates(supports, screen, d, iu):
 
 
 def _solve_support(A, y, supp, x_init, max_iter):
+    """Descent of the loss restricted to columns `supp`: (x, objective, iterations).
+
+    Starts from x_init, or from the spectral start of the restricted problem when
+    it is None, with base step 0.1 / ||x_init||^2 (1.0 at a zero start).
+    """
     As = A[:, supp]
     if x_init is None:
-        lam1, v1 = _leading_eig(_spectral_matrix(As, y))
-        x_init = _spectral_start(lam1, v1)
-        base_step = 0.1 / lam1 if lam1 > 0 else 1.0
-    else:
-        scale = float(x_init @ x_init)
-        base_step = 0.1 / scale if scale > 0 else 1.0
-    X, f, it1, _ = _descend(As, y, x_init, base_step, max_iter, 1e-12)
-    x, fx, it2 = _newton_polish(As, y, X[0], f[0])
-    return x, float(fx), int(it1[0]) + it2
+        x_init = _spectral_start(*_leading_eig(_spectral_matrix(As, y)))
+    scale = float(x_init @ x_init)
+    X, f, iters, _ = _descend(As, y, x_init, 0.1 / scale if scale > 0 else 1.0, max_iter, 1e-12)
+    return X[0], float(f[0]), int(iters[0])
 
 
 def _oracle_sparse(sample, cset, config):
@@ -405,7 +376,6 @@ def _oracle_sparse(sample, cset, config):
     scores = (y[:, None] * (A * A)).mean(axis=0)
     order = np.argsort(-scores, kind="stable").astype(np.int32)
     zero_tol = 1e-16 * max(1.0, float(np.mean(y * y)))
-    per_support_iter = min(config.max_iterations, 80)
     supports = order[_support_index_array(n, d)]
 
     iu = np.triu_indices(d)
@@ -413,7 +383,7 @@ def _oracle_sparse(sample, cset, config):
     screen = _make_gram_screen(A[:m], y[:m], n, iu)
     best_f, best_x, best_row, total_iters = math.inf, np.zeros(d), 0, 0
     for row, x_init in _oracle_candidates(supports, screen, d, iu):
-        x, fx, its = _solve_support(A, y, supports[row], x_init, per_support_iter)
+        x, fx, its = _solve_support(A, y, supports[row], x_init, config.max_iterations)
         total_iters += its
         if fx < best_f:
             best_f, best_x, best_row = fx, x, row
@@ -430,8 +400,10 @@ def solve_oracle(sample, cset, config, seed):
     """Ground-truth ERM at desk scale.
 
     sparse_cap: exhaustive minimization over all supports (within
-    oracle_budget).  Other kinds: projected descent with at least 32
-    restarts.
+    oracle_budget); each support is solved by the descent kernel alone, from
+    its Gram or spectral start, for up to max_iterations steps, and
+    `converged` is always True.  Other kinds: projected descent with at least
+    32 restarts.
     """
     if sample.n != cset.n:
         raise ValueError(f"sample dimension {sample.n} != set dimension {cset.n}")

@@ -115,16 +115,32 @@ def _l1_threshold(U, radius, n):
     return css[np.arange(U.shape[0]), np.minimum(kmax, K) - 1] / kmax
 
 
+def _l1_shrink(A, U, radius, n):
+    """Soft-threshold rows of magnitudes A onto the l1(radius) ball, in place; rows
+    within the radius are left as they are.  U holds A's leading columns sorted
+    descending per row (the rest are zero); subtracting a threshold keeps that
+    order in floating point too, so U stays A sorted.  Returns (A, U)."""
+    over = A.sum(axis=1) > radius
+    theta = np.where(over, _l1_threshold(U, radius, n), 0.0)
+    # the pairwise row sum can call a row over while the sequential prefix
+    # sums give theta < 0; zero entries must stay zero, as sign(0) kept them
+    neg = np.flatnonzero(theta < 0.0)
+    zeros = A[neg] == 0.0
+    A -= theta[:, None]
+    U -= theta[:, None]
+    np.maximum(A, 0.0, out=A)
+    np.maximum(U, 0.0, out=U)
+    if neg.size:
+        A[neg] = np.where(zeros, 0.0, A[neg])
+        U[neg] = -np.sort(-A[neg], axis=1)[:, : U.shape[1]]
+    return A, U
+
+
 def _project_l1_batch(X, radius):
     """Row-wise Euclidean projection onto the l1 ball (sort/threshold)."""
-    X = np.array(X, dtype=float, copy=True)
-    absX = np.abs(X)
-    over = absX.sum(axis=1) > radius
-    if not over.any():
-        return X
-    theta = _l1_threshold(-np.sort(-absX[over], axis=1), radius, X.shape[1])
-    X[over] = np.sign(X[over]) * np.maximum(absX[over] - theta[:, None], 0.0)
-    return X
+    A = np.abs(X)
+    A, _ = _l1_shrink(A, -np.sort(-A, axis=1), radius, X.shape[1])
+    return np.copysign(A, X, out=A)
 
 
 def _project_batch(cset, X):
@@ -357,6 +373,11 @@ class McConfig:
     candidates: int = 2048
     centers: int = 4
 
+    def __post_init__(self):
+        for name in ("draws", "candidates", "centers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"McConfig.{name} must be >= 1, got {getattr(self, name)}")
+
 
 def _max_norm(cset):
     if cset.kind in ("l1_ball", "l2_ball"):
@@ -473,30 +494,16 @@ def toward_shell(cset, X, R0, iters=50):
         return _iterate_rows(step, (X.copy(),), iters)
 
     def l1_step(A, U):
-        # A = |X|, and U the leading columns of A sorted descending per row; the
-        # columns past U's are zero in every row.  Rescaling by s > 0 and
-        # subtracting a threshold are monotone in each entry in floating point
-        # too, so U stays A sorted without re-sorting; norms and sums still run
-        # over A in its own order, so every rounding matches a projection that
-        # sorts every round
+        # A = |X|, and U the leading columns of A sorted descending per row, as
+        # _l1_shrink takes them.  Rescaling by s > 0 is monotone in each entry in
+        # floating point too, so U stays A sorted without re-sorting; norms and
+        # sums still run over A in its own order, so every rounding matches a
+        # projection that sorts every round
         nrm = np.linalg.norm(A, axis=1, keepdims=True)
         nrm[nrm == 0.0] = 1.0
         s = R0 / nrm
-        B = A * s
         U *= s
-        over = B.sum(axis=1) > cset.radius
-        theta = np.where(over, _l1_threshold(U, cset.radius, cset.n), 0.0)
-        # the pairwise row sum can call a row over while the sequential prefix
-        # sums give theta < 0; zero entries must stay zero, as sign(0) kept them
-        neg = np.flatnonzero(theta < 0.0)
-        zeros = B[neg] == 0.0
-        B -= theta[:, None]
-        U -= theta[:, None]
-        np.maximum(B, 0.0, out=B)
-        np.maximum(U, 0.0, out=U)
-        if neg.size:
-            B[neg] = np.where(zeros, 0.0, B[neg])
-            U[neg] = -np.sort(-B[neg], axis=1)[:, : U.shape[1]]
+        B, U = _l1_shrink(A * s, U, cset.radius, cset.n)
         # zeros stay zero, so drop sorted columns that are zero in every row
         width = U.shape[1]
         while width > 1 and not U[:, width - 1].any():
@@ -642,6 +649,8 @@ def packing_count(cset, center, ball_radius, separation, shell_R0=None,
         raise ValueError(f"ball_radius must be > 0, got {ball_radius}")
     if candidates < 1:
         raise ValueError(f"candidates must be >= 1, got {candidates}")
+    if shell_R0 is not None and not shell_R0 >= 0:
+        raise ValueError(f"shell_R0 must be >= 0, got {shell_R0}")
 
     if candidate_points is None:
         pts = _sample_candidates(cset, center, ball_radius, shell_R0, candidates, seed)

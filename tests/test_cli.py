@@ -74,6 +74,28 @@ def test_fixed_point_packing_requires_monte_carlo(capsys):
     assert "monte_carlo" in err
 
 
+@pytest.mark.parametrize("draws", ["0", "-5"])
+def test_fixed_point_rejects_empty_monte_carlo_budget(capsys, draws):
+    code, out, err = _run(
+        capsys, "fixed-point", "--set", "l1_ball:64", "--functional", "sN", "--level", "1",
+        "--N", "1024", "--backend", "monte_carlo", "--draws", draws,
+    )
+    assert code == 2
+    assert out == ""
+    assert "McConfig.draws must be >= 1" in err
+
+
+@pytest.mark.parametrize("shell_R0", ["-1", "nan"])
+def test_packing_rejects_bad_shell_radius(capsys, shell_R0):
+    code, out, err = _run(
+        capsys, "packing", "--set", "l2_ball:8:1.0", "--ball-radius", "1",
+        "--separation", "0.1", "--shell-R0", shell_R0,
+    )
+    assert code == 2
+    assert out == ""
+    assert "shell_R0 must be >= 0" in err
+
+
 def test_packing_golf_ball(capsys):
     code, out, _ = _run(
         capsys, "packing", "--set", "l2_ball:2:1.0", "--ball-radius", "0.4",

@@ -417,6 +417,26 @@ def test_oracle_objective_never_above_pgd():
         assert res_o.objective_value <= res_p.objective_value + 1e-12
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.01, 0.3, 2.0])
+def test_oracle_one_sparse_equals_the_closed_form_minimum(sigma):
+    # on coordinate j the loss is quadratic in u = t^2, minimized over u >= 0 at
+    # u_j = max(0, sum a_ij^2 y_i / sum a_ij^4); the ERM is the best coordinate
+    noise = QUIET if sigma == 0.0 else NoiseModel("gaussian", sigma)
+    for trial in range(50):
+        rng = np.random.default_rng(7000 + trial)
+        n, N = int(rng.integers(2, 13)), int(rng.integers(10, 80))
+        x0 = np.zeros(n)
+        x0[rng.integers(0, n)] = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
+        s = generate_sample(x0, GAUSS(n), noise, N, seed=7500 + trial)
+        A2 = s.A * s.A
+        u = np.maximum(0.0, (A2 * s.y[:, None]).sum(axis=0) / (A2 * A2).sum(axis=0))
+        f = ((A2 * u - s.y[:, None]) ** 2).mean(axis=0)
+        j = int(np.argmin(f))
+        res = solve_oracle(s, sparse_cap(n, 1), SolverConfig(), seed=trial)
+        assert res.objective_value == pytest.approx(f[j], rel=1e-12, abs=1e-20)
+        assert np.flatnonzero(res.x_hat).tolist() == ([j] if u[j] > 0 else [])
+
+
 def test_oracle_zero_signal_with_noise():
     s = generate_sample(
         np.zeros(6), GAUSS(6), NoiseModel("gaussian", 1.0), 40, seed=77

@@ -172,6 +172,20 @@ def test_project_l1_soft_threshold_structure():
 # moving points onto the shell
 
 
+def _project_l1_reference(X, radius):
+    """Row-wise l1(radius) projection written out on its own: sort the
+    magnitudes, take the soft threshold from their prefix sums, shrink."""
+    X = np.array(X, dtype=float)
+    absX = np.abs(X)
+    over = absX.sum(axis=1) > radius
+    U = -np.sort(-absX[over], axis=1)
+    css = np.cumsum(U, axis=1) - radius
+    k = (U > css / np.arange(1, X.shape[1] + 1)).sum(axis=1)
+    theta = css[np.arange(k.size), k - 1] / k
+    X[over] = np.sign(X[over]) * np.maximum(absX[over] - theta[:, None], 0.0)
+    return X
+
+
 def _toward_shell_reference(cset, X, R0, iters):
     """The loop `toward_shell` replaced: every row rescaled and projected,
     with a fresh sort for the l1 ball, in every round."""
@@ -179,7 +193,9 @@ def _toward_shell_reference(cset, X, R0, iters):
     for _ in range(iters):
         nrm = np.linalg.norm(X, axis=1, keepdims=True)
         nrm[nrm == 0.0] = 1.0
-        X = sets._project_batch(cset, X * (R0 / nrm))
+        X = X * (R0 / nrm)
+        X = (_project_l1_reference(X, cset.radius) if cset.kind == "l1_ball"
+             else sets._project_batch(cset, X))
     return X
 
 
@@ -218,6 +234,34 @@ def test_toward_shell_equals_the_reference_loop(inputs, iters):
     cset, X, R0 = inputs
     assert np.array_equal(sets.toward_shell(cset, X, R0, iters),
                           _toward_shell_reference(cset, X, R0, iters))
+
+
+@st.composite
+def _l1_stacks(draw):
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((8, n)) * rng.uniform(0.0, 3.0, size=(8, 1))
+    X[0] = 0.0                          # a zero row
+    X[1] = draw(st.floats(-3.0, 3.0))   # a tied row
+    X[2] = -0.0                         # a negative-zero row
+    X[3, : n // 2] = 0.0                # zero entries among moving ones
+    return l1_ball(n, draw(st.floats(0.05, 4.0))), X
+
+
+def _negative_threshold_projection():
+    # the input of round 43 of the case above: row 276's pairwise row sum is over
+    # the radius and its sequential prefix sums are not, so theta < 0
+    cset, X, R0 = _negative_threshold_case()
+    X = _toward_shell_reference(cset, X, R0, 42)[276:277]
+    return cset, X * (R0 / np.linalg.norm(X, axis=1, keepdims=True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(inputs=_l1_stacks())
+@example(inputs=_negative_threshold_projection())
+def test_project_l1_equals_the_reference(inputs):
+    cset, X = inputs
+    assert np.array_equal(project(cset, X), _project_l1_reference(X, cset.radius))
 
 
 def test_toward_shell_settled_rows_leave(monkeypatch):
@@ -492,6 +536,13 @@ def test_width_mc_validation():
         mean_width_mc(l1_ball(4, 1.0), -1.0, 100, seed=0)
     with pytest.raises(ValueError):
         mean_width_mc(l1_ball(4, 1.0), 1.0, 1, seed=0)
+
+
+@pytest.mark.parametrize("field", ["draws", "candidates", "centers"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_mc_config_rejects_empty_budgets(field, value):
+    with pytest.raises(ValueError, match=f"McConfig.{field} must be >= 1"):
+        McConfig(**{field: value})
 
 
 def test_width_closed_form_hand_cases():
@@ -831,6 +882,13 @@ def test_packing_sampled_candidates_deterministic():
     b = packing_count(l1_ball(3, 1.0), [0.0, 0.0, 0.0], **args)
     assert a == b
     assert a >= 1
+
+
+@pytest.mark.parametrize("shell_R0", [-1.0, math.nan])
+def test_packing_rejects_bad_shell_radius(shell_R0):
+    with pytest.raises(ValueError, match="shell_R0 must be >= 0"):
+        packing_count(l2_ball(8, 1.0), np.zeros(8), ball_radius=1.0, separation=0.1,
+                      shell_R0=shell_R0)
 
 
 def test_packing_validation():
