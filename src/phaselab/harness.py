@@ -219,7 +219,7 @@ def _draw_x0(config, cell_index, trial):
         return x0
     # random_on_shell
     z = random_feasible(cset, rng, 1)
-    z = toward_shell(cset, z, spec.R0, iters=200)[0]
+    z = toward_shell(cset, z, spec.R0)[0]
     nrm = float(np.linalg.norm(z))
     if abs(nrm - spec.R0) > 1e-8 * max(1.0, spec.R0):
         raise ValueError(

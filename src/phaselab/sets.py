@@ -96,50 +96,24 @@ def contains(cset, x, tol=1e-9):
 # projections
 
 
-def _l1_threshold(U, radius, n):
-    """Soft threshold of the l1(radius) projection for rows of n magnitudes
-    sorted descending (Duchi, Shalev-Shwartz, Singer & Chandra, ICML 2008).
-
-    U holds the rows' first U.shape[1] entries; the rest are zeros.
-    """
-    K = U.shape[1]
+def _project_l1_batch(X, radius):
+    """Row-wise Euclidean projection onto the l1 ball: soft-threshold the rows over
+    the radius at the threshold their sorted magnitudes give (Duchi,
+    Shalev-Shwartz, Singer & Chandra, ICML 2008)."""
+    A = np.abs(X)
+    U = -np.sort(-A, axis=1)
     css = np.cumsum(U, axis=1)
     css -= radius
-    kmax = (U > css / np.arange(1, K + 1)).sum(axis=1)   # prefix-true pattern
-    # past column K the prefix sum stays at its last value, so the zero
-    # entries there are active exactly where that value is below the radius
-    if K < n:
-        last = css[:, -1]
-        short = np.flatnonzero(last < 0.0)
-        kmax[short] += (0.0 > last[short, None] / np.arange(K + 1, n + 1)).sum(axis=1)
-    return css[np.arange(U.shape[0]), np.minimum(kmax, K) - 1] / kmax
-
-
-def _l1_shrink(A, U, radius, n):
-    """Soft-threshold rows of magnitudes A onto the l1(radius) ball, in place; rows
-    within the radius are left as they are.  U holds A's leading columns sorted
-    descending per row (the rest are zero); subtracting a threshold keeps that
-    order in floating point too, so U stays A sorted.  Returns (A, U)."""
-    over = A.sum(axis=1) > radius
-    theta = np.where(over, _l1_threshold(U, radius, n), 0.0)
+    k = (U > css / np.arange(1, X.shape[1] + 1)).sum(axis=1)   # prefix-true pattern
+    theta = np.where(A.sum(axis=1) > radius, css[np.arange(X.shape[0]), k - 1] / k, 0.0)
     # the pairwise row sum can call a row over while the sequential prefix
     # sums give theta < 0; zero entries must stay zero, as sign(0) kept them
     neg = np.flatnonzero(theta < 0.0)
     zeros = A[neg] == 0.0
     A -= theta[:, None]
-    U -= theta[:, None]
     np.maximum(A, 0.0, out=A)
-    np.maximum(U, 0.0, out=U)
     if neg.size:
         A[neg] = np.where(zeros, 0.0, A[neg])
-        U[neg] = -np.sort(-A[neg], axis=1)[:, : U.shape[1]]
-    return A, U
-
-
-def _project_l1_batch(X, radius):
-    """Row-wise Euclidean projection onto the l1 ball (sort/threshold)."""
-    A = np.abs(X)
-    A, _ = _l1_shrink(A, -np.sort(-A, axis=1), radius, X.shape[1])
     return np.copysign(A, X, out=A)
 
 
@@ -220,20 +194,22 @@ def _sorted_form(G):
     return B, np.cumsum(B, axis=1), np.cumsum(S2, axis=1, out=S2)
 
 
-def _l1_dual_from_sorted(radius, r, B, S1, S2):
-    """Exact sup over the l1(radius)-ball cap of radius r, per row.
+def _l1_cap_piece(q, B, S1, S2):
+    """Where F(lam) = lam*radius + r*||(|g| - lam)_+||_2 is least, per row, for
+    q = (radius/r)^2.
 
-    B holds |g| sorted descending per row, S1/S2 the prefix sums of B and
-    B^2.  By strong duality the value is min over lam >= 0 of the convex
-    F(lam) = lam*radius + r*||(|g| - lam)_+||_2, smooth on each piece
-    [B[k], B[k-1]] (k active entries, B[n] = 0).  A bisection per row over
-    k, log2(n) rounds of O(m) gathers, finds the first breakpoint with
-    F'(B[k]) <= 0.  The value is the least of radius*||g||_inf, F at both
-    ends of piece k, and F at the piece's closed-form stationary point when
-    that lies on the piece and k > (radius/r)^2.  O(m log n) time, O(m) memory.
+    B holds |g| sorted descending per row, S1/S2 the prefix sums of B and B^2.
+    F'(lam) = radius - r*R(lam), with R(lam) = ||S||_1/||S||_2 for S = (|g| - lam)_+
+    the ratio `toward_shell` shows nonincreasing, so F is convex and smooth on
+    each piece [B[k], B[k-1]] (k active entries, B[n] = 0).  A bisection per row
+    over k, log2(n) rounds of O(m) gathers, finds the first breakpoint with
+    F'(B[k]) <= 0, that is R(B[k])^2 >= q.  On that piece R(lam)^2 = q is a
+    quadratic in lam when k > q; where k <= q, R <= sqrt(k) <= sqrt(q) keeps
+    F' >= 0 on the piece.  Returns k, the sum s1 and sum of squares s2 of the k
+    largest entries, the piece's ends upper = B[k-1] and lower = B[k], and lam:
+    the quadratic's root clipped to the piece, or lower where k <= q.
     """
     m, n = B.shape
-    q = (radius / r) ** 2
     rows = np.arange(m) * n
 
     def piece(k):
@@ -252,6 +228,28 @@ def _l1_dual_from_sorted(radius, r, B, S1, S2):
         k = np.where((k + step <= n) & ~crossed, trial, k)
     k = np.minimum(k + 1, n)
     s1, s2, upper, lower = piece(k)
+    # fmax/fmin, not clip: a root that overflowed to NaN falls to the piece's end
+    lam = np.where(k > q, np.fmin(np.fmax(_ratio_root(q, k, s1, s2), lower), upper), lower)
+    return k, s1, s2, upper, lower, lam
+
+
+def _ratio_root(q, k, s1, s2):
+    """The lam < s1/k at which k entries with sum s1 and sum of squares s2, each
+    less lam, have ||.||_1^2 = q*||.||_2^2.  Meaningful only where k > q."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = q * np.maximum(k * s2 - s1 * s1, 0.0) / (k - q)
+        return (s1 - np.sqrt(np.maximum(disc, 0.0))) / k
+
+
+def _l1_dual_from_sorted(radius, r, B, S1, S2):
+    """Exact sup over the l1(radius)-ball cap of radius r, per row.
+
+    B holds |g| sorted descending per row, S1/S2 the prefix sums of B and
+    B^2.  By strong duality the value is min over lam >= 0 of the convex F of
+    `_l1_cap_piece`: the least of radius*||g||_inf and F at both ends of the
+    piece that function finds and at its lam.  O(m log n) time, O(m) memory.
+    """
+    k, s1, s2, upper, lower, lam = _l1_cap_piece((radius / r) ** 2, B, S1, S2)
 
     def dual(lam):
         # F on piece k.  Where the piece's entries tie, h cancels to rounding and
@@ -259,10 +257,6 @@ def _l1_dual_from_sorted(radius, r, B, S1, S2):
         h = np.maximum(s2 - 2.0 * lam * s1 + k * lam * lam, 0.0)
         return lam * radius + r * np.maximum(np.sqrt(h), (s1 - k * lam) / np.sqrt(k))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = q * np.maximum(k * s2 - s1 * s1, 0.0) / (k - q)
-        lam = (s1 - np.sqrt(np.maximum(disc, 0.0))) / k
-    lam = np.where((k > q) & (lam >= lower) & (lam <= upper), lam, upper)
     return np.min([B[:, 0] * radius, dual(upper), dual(lower), dual(lam)], axis=0)
 
 
@@ -287,7 +281,10 @@ def support_function_cap(cset, r, g):
     """sup |<g, t>| over t in the set intersected with the r-ball (exact)."""
     if not r > 0:
         raise ValueError(f"cap radius must be > 0, got {r}")
-    return float(_cap_support(cset, _check_vector(cset, g).copy())(r)[0])
+    # g scaled by a power of two, exactly, so that no norm underflows or overflows
+    g = _check_vector(cset, g)
+    e = int(np.frexp(np.abs(g).max(initial=0.0))[1])
+    return math.ldexp(float(_cap_support(cset, np.ldexp(g, -e))(r)[0]), e)
 
 
 @dataclass(frozen=True)
@@ -480,81 +477,69 @@ def _width_phi(cset, query, mc):
     return phi
 
 
-def toward_shell(cset, X, R0, iters=50):
-    """Rows of X moved toward the shell ||x|| = R0 of the set: `iters` rounds
-    of rescaling to norm R0 and projecting back.  A row stops early once it is
-    fixed or alternates between two values, with the same result."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if cset.kind != "l1_ball":
-        def step(Y):
-            nrm = np.linalg.norm(Y, axis=1, keepdims=True)
-            nrm[nrm == 0.0] = 1.0
-            return (_project_batch(cset, Y * (R0 / nrm)),)
+def toward_shell(cset, X, R0):
+    """Each row u of X mapped to the maximiser of <u, t> over the set's R0-cap,
+    a point of the shell ||t|| = R0 wherever the set reaches it.
 
-        return _iterate_rows(step, (X.copy(),), iters)
+    ambient and l2_ball: min(R0, radius) * u/||u||.  sparse_cap: R0 * P_d(u)/||P_d(u)||.
+    l1_ball(rho), R0 < rho: t = c * S_lam(|u|) with the signs of u, where
+    S_lam(a) = (a - lam)_+, c = min(R0/||S||_2, rho/||S||_1), and lam solves
+    R(lam) = ||S_lam||_1/||S_lam||_2 = rho/R0 (lam = 0 where R(0) <= rho/R0).
+    l1_ball, R0 >= rho: every point of the ball has ||t||_2 <= ||t||_1 <= rho, so
+    the cap is the ball: rho times the vertex of the first largest |u_i|.  Zero
+    rows stay zero.
 
-    def l1_step(A, U):
-        # A = |X|, and U the leading columns of A sorted descending per row, as
-        # _l1_shrink takes them.  Rescaling by s > 0 is monotone in each entry in
-        # floating point too, so U stays A sorted without re-sorting; norms and
-        # sums still run over A in its own order, so every rounding matches a
-        # projection that sorts every round
-        nrm = np.linalg.norm(A, axis=1, keepdims=True)
-        nrm[nrm == 0.0] = 1.0
-        s = R0 / nrm
-        U *= s
-        B, U = _l1_shrink(A * s, U, cset.radius, cset.n)
-        # zeros stay zero, so drop sorted columns that are zero in every row
-        width = U.shape[1]
-        while width > 1 and not U[:, width - 1].any():
-            width -= 1
-        return B, U[:, :width].copy() if width < U.shape[1] else U
+    R is nonincreasing in lam.  With k entries active, d||S||_1/dlam = -k and
+    d||S||_2^2/dlam = -2||S||_1, so d(R^2)/dlam = 2||S||_1 (||S||_1^2 - k||S||_2^2)
+    / ||S||_2^4 <= 0 by Cauchy-Schwarz; R is continuous where an entry leaves,
+    at 0.  So the one search of `_l1_cap_piece`, at q = (rho/R0)^2, finds lam.
+    There ||t||_2 = R0, ||t||_1 = rho and <|u|, S> = ||S||_2^2 + lam*||S||_1, so
+    <|u|, t> = lam*rho + R0*||S||_2: t meets the dual bound F(lam) and is the
+    maximiser.  Where the largest |u_i| tie j > q times, R >= sqrt(j) > rho/R0
+    for every lam below them: lam reaches them, and t spreads rho evenly over
+    the ties, inside the shell, as the rounds below do.
 
-    A = np.abs(X)
-    U = np.negative(A)
-    U.sort(axis=1)
-    A = _iterate_rows(l1_step, (A, np.negative(U, out=U)), iters)
-    return np.copysign(A, X, out=A)
-
-
-def _iterate_rows(step, state, iters):
-    """`iters` rounds of a row-wise map on a batch.
-
-    `state` is a tuple of arrays, one row per batch row; `step` maps it to
-    the next round's tuple and leaves the first array, the rows' values,
-    unmodified.  Returns that first array of `state`, overwritten with the
-    final values.  A round is a function of its row alone, so a row whose
-    value comes back to where it was one or two rounds earlier repeats from
-    then on: it leaves the batch with the value the remaining rounds would
-    end on.
+    t is also the limit of repeated rounds of "rescale to norm R0, project
+    onto the ball".  Projecting c*S_theta(|u|), c > 0, soft-thresholds
+    it at some tau >= 0, and (c*S_theta(a) - tau)_+ = c*S_(theta + tau/c)(a);
+    rescaling changes only c.  So from u the rounds stay on c_j*S_theta_j(|u|)
+    with theta_j nondecreasing.  A round that shrinks ends on ||.||_1 = rho,
+    ||.||_2 <= R0, so R(theta_j) >= rho/R0 and theta_j <= lam; a round that
+    does not shrink leaves the point fixed, and then R(theta_j) <= rho/R0.  The
+    theta_j rise to a limit where a round is fixed: to lam.
     """
-    out = X = back = state[0]            # back: the values one round earlier
-    live = np.arange(out.shape[0])
-    # a row that repeats repeats its weighted sum: only such rows are compared
-    # (einsum, not BLAS: the sums need no threads)
-    weights = np.arange(1.0, X.shape[1] + 1.0)
-    key = np.einsum("ij,j->i", X, weights)
-    back_key = np.full_like(key, np.nan)
-    for left in range(iters - 1, -1, -1):
-        if not live.size:
-            break
-        state = step(*state)
-        Y = state[0]
-        new_key = np.einsum("ij,j->i", Y, weights)
-        ended = np.zeros(live.size, dtype=bool)
-        rows = np.flatnonzero(new_key == key)
-        ended[rows] = (Y[rows] == X[rows]).all(axis=1)
-        rows = np.flatnonzero((new_key == back_key) & ~ended)
-        ended[rows] = (Y[rows] == back[rows]).all(axis=1)
-        if ended.any():
-            # fixed rows have X == Y; two-cycles alternate Y, X, Y, ...
-            out[live[ended]] = (X if left % 2 else Y)[ended]
-            keep = ~ended
-            live, X, key, new_key = live[keep], X[keep], key[keep], new_key[keep]
-            state = tuple(a[keep] for a in state)
-        X, back, key, back_key = state[0], X, new_key, key
-    out[live] = X
-    return out
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    # the map ignores a row's scale: bring each row's largest |u_i| into [0.5, 1)
+    # by a power of two, exactly, so that no norm below underflows or overflows
+    X = np.ldexp(X, -np.frexp(np.abs(X).max(axis=1, initial=0.0))[1][:, None])
+    if cset.kind == "sparse_cap":
+        T = _project_batch(cset, X)
+    elif cset.kind != "l1_ball":
+        T = X
+    elif R0 >= cset.radius:
+        T = _project_batch(sparse_cap(cset.n, 1), X)
+    else:
+        A = np.abs(X)
+        q = (cset.radius / R0) ** 2
+        *_, lam = _l1_cap_piece(q, *_sorted_form(A.copy()))
+        # the root from prefix sums of |u| loses digits where the largest entries
+        # nearly tie; the same root on the thresholded entries' own sums restores them
+        T = np.maximum(A - lam[:, None], 0.0)
+        k = np.count_nonzero(T, axis=1)
+        step = _ratio_root(q, k, T.sum(axis=1), np.square(T).sum(axis=1))
+        lam += np.where(k > q, np.fmax(step, -lam), 0.0)
+        T = np.maximum(A - lam[:, None], 0.0)
+        tied = np.flatnonzero((lam > 0.0) & ~T.any(axis=1))
+        T[tied] = A[tied] >= lam[tied, None]
+        np.copysign(T, X, out=T)
+    l2 = np.linalg.norm(T, axis=1)
+    l2[l2 == 0.0] = 1.0
+    scale = min(R0, _max_norm(cset)) / l2
+    if cset.kind == "l1_ball":
+        l1 = np.abs(T).sum(axis=1)
+        l1[l1 == 0.0] = 1.0
+        scale = np.minimum(scale, cset.radius / l1)
+    return T * scale[:, None]
 
 
 def _packing_phi(cset, R0, mc):
@@ -562,7 +547,8 @@ def _packing_phi(cset, R0, mc):
     r-separated shell points near one of `mc.centers` shell points."""
     if R0 > _max_norm(cset) * (1.0 + 1e-12):
         raise ValueError(f"shell_R0={R0} exceeds the set's largest norm {_max_norm(cset)}")
-    # centres: points of the set with ||x|| within 1% of R0, by alternating steps
+    # centres: points of the set with ||x|| within 1% of R0, each the maximiser
+    # of <x, t> over the set's R0-cap
     X = random_feasible(cset, substream(sub_seed(mc.seed, 7)), max(4 * mc.centers, 16))
     X = toward_shell(cset, X, R0)
     centers = X[np.abs(np.linalg.norm(X, axis=1) - R0) <= 0.01 * R0][: mc.centers]

@@ -358,6 +358,19 @@ def test_random_sparse_draw_rejects_oversized_support():
         run_experiment(config)
 
 
+@pytest.mark.parametrize("cset", [l1_ball(6, 1.0), l2_ball(6, 1.0)], ids=lambda c: c.kind)
+def test_random_on_shell_draw_rejects_an_unreachable_shell(cset):
+    # no point of either ball has a norm above its radius
+    config = _sparse_config(
+        constraint_set=cset,
+        ensemble=Ensemble("standard_gaussian", 6),
+        x0_spec=X0Spec(mode="random_on_shell", R0=1.5),
+        N_grid=(20,),
+    )
+    with pytest.raises(ValueError, match="could not place x0 on the shell"):
+        run_experiment(config)
+
+
 def test_summaries_recomputable_from_rows():
     config = _sparse_config(
         constraint_set=l2_ball(5, 1.5),
