@@ -16,35 +16,49 @@ from .ensembles import substream
 def psi_alpha_norm(v, alpha):
     """Discrete psi_alpha norm: inf{c > 0 : mean exp((|v_i|/c)^alpha) <= 2}.
 
-    Solved by bisection to relative width 1e-10 on a bracket that always
-    encloses the root: [0.5*max|v|/ln(2m)^(1/a), 2*max|v|/ln(2)^(1/a)].
-    The zero vector has norm 0.
+    With M = max|v|, s_i = (|v_i|/M)^alpha in [0, 1] and t = (M/c)^alpha, the
+    norm is M * t^(-1/alpha) at the root of
+
+        h(t) = log mean exp(s_i t) - log 2,
+
+    found by Newton's method from t_0 = log 2m.  h is a log-sum-exp of the
+    lines s_i t, so it is convex; its slope h'(t) = sum s_i e^(s_i t) /
+    sum e^(s_i t) is positive, because some s_i = 1.  h(t_0) >= 0, since
+    mean exp(s_i t_0) >= e^(t_0)/m = 2, and h(log 2) <= 0, since every
+    s_i <= 1: the root lies in [log 2, log 2m].  From a point at or right of
+    the root of a convex increasing function, each Newton step lands at or
+    right of the root again (the tangent lies below h), so the iterates
+    decrease monotonically to it, quadratically near it.  They stop once a step
+    is not above 1e-15 * t.  Every term is evaluated as exp((s_i - 1) t) <= 1,
+    so nothing overflows, and the result scales exactly with powers of two.
+
+    The zero vector has norm 0; NaN or infinite entries raise ValueError.
     """
     v = np.asarray(v, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("psi_alpha_norm needs at least one coordinate")
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    mx = float(np.abs(v).max())
+    absv = np.abs(v)
+    mx = float(absv.max())
+    if not math.isfinite(mx):
+        i = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ValueError(f"psi_alpha_norm needs finite entries, got v[{i}] = {v[i]}")
     if mx == 0.0:
         return 0.0
-    m = v.size
-    absv = np.abs(v)
-    lo = 0.5 * mx / math.log(2.0 * m) ** (1.0 / alpha)
-    hi = 2.0 * mx / math.log(2.0) ** (1.0 / alpha)
-
-    def budget(c):
-        return float(np.exp((absv / c) ** alpha).sum()) / m
-
+    s = (absv / mx) ** alpha
+    s_minus_1 = s - 1.0
+    log_2m = math.log(2.0 * v.size)
+    t = log_2m
     for _ in range(100):
-        if hi - lo <= 1e-10 * hi:
+        w = np.exp(s_minus_1 * t)
+        total = float(w.sum())
+        # h(t) = t + log(total) - log 2m and h'(t) = <s, w> / total
+        step = (t + math.log(total) - log_2m) * total / float(s @ w)
+        t -= step
+        if not step > 1e-15 * t:
             break
-        mid = 0.5 * (lo + hi)
-        if budget(mid) > 2.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return mx / t ** (1.0 / alpha)
 
 
 def rearrangement_functional(v, alpha):

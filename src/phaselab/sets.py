@@ -129,12 +129,20 @@ def _project_batch(cset, X):
             Y[over] *= (cset.radius / nrm[over])[:, None]
         return Y
     if cset.kind == "sparse_cap":
-        # keep the d largest magnitudes; stable sort breaks ties toward
-        # the lowest index
-        order = np.argsort(-np.abs(X), axis=1, kind="stable")[:, : cset.d]
-        Y = np.zeros_like(X)
-        np.put_along_axis(Y, order, np.take_along_axis(X, order, axis=1), axis=1)
-        return Y
+        # keep the d largest magnitudes: those at or above the d-th largest,
+        # and in rows where it ties, only the lowest-index ties at it; NaN
+        # ranks below every number
+        key = -np.abs(X)
+        key[np.isnan(key)] = np.inf
+        kth = np.sort(key, axis=1)[:, cset.d - 1 : cset.d]
+        keep = key <= kth
+        tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > cset.d)
+        if tied.size:
+            key, kth = key[tied], kth[tied]
+            tie = key == kth
+            room = cset.d - np.count_nonzero(key < kth, axis=1, keepdims=True)
+            keep[tied] = (key < kth) | (tie & (np.cumsum(tie, axis=1) <= room))
+        return np.where(keep, X, 0.0)
     return _project_l1_batch(X, cset.radius)
 
 

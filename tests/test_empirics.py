@@ -2,8 +2,10 @@
 
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from phaselab import (
     EQUIVALENCE_C1,
@@ -14,11 +16,13 @@ from phaselab import (
     empirical_smallball_fraction,
     norm_equivalence_check,
     norm_equivalence_violations,
+    paley_zygmund_admitted,
     paley_zygmund_fraction,
     product_process_sup,
     psi_alpha_norm,
     random_norm_triples,
     rearrangement_functional,
+    rearrangement_ratio_range,
 )
 
 
@@ -67,14 +71,61 @@ def test_psi_absolute_homogeneity():
         assert abs(a - b) <= 1e-9 * max(1.0, b)
 
 
-def test_psi_budget_is_met_at_the_norm():
-    # at c slightly above the norm the exponential budget is at most 2
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        v = rng.standard_normal(int(rng.integers(2, 40)))
-        alpha = float(rng.choice([1.0, 1.5, 2.0]))
-        c = psi_alpha_norm(v, alpha) * (1.0 + 1e-8)
-        assert np.mean(np.exp((np.abs(v) / c) ** alpha)) <= 2.0 + 1e-7
+@st.composite
+def _stress_vectors(draw):
+    """(v, alpha): gaussian, cubed exponential, geometric or spike, at 2^j scale."""
+    m = draw(st.integers(1, 1024))
+    alpha = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.integers(0, 3))
+    if style == 0:
+        v = rng.standard_normal(m)
+    elif style == 1:
+        v = rng.standard_exponential(m) ** 3
+    elif style == 2:
+        v = 2.0 ** -np.arange(m, dtype=float)
+    else:
+        v = np.zeros(m)
+        v[rng.integers(m)] = 1.0
+    return np.ldexp(v, draw(st.integers(-200, 200))), alpha
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inputs=_stress_vectors())
+def test_psi_budget_is_met_at_the_norm(inputs):
+    # the defining inequality: the budget is at most 2 just above the norm
+    # and above 2 just below it
+    v, alpha = inputs
+    c = psi_alpha_norm(v, alpha)
+    assert np.mean(np.exp((np.abs(v) / (c * (1.0 + 1e-12))) ** alpha)) <= 2.0
+    assert np.mean(np.exp((np.abs(v) / (c * (1.0 - 1e-12))) ** alpha)) > 2.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(inputs=_stress_vectors(), k=st.integers(-500, 500))
+def test_psi_scales_exactly_by_powers_of_two(inputs, k):
+    v, alpha = inputs
+    assert psi_alpha_norm(np.ldexp(v, k), alpha) == np.ldexp(psi_alpha_norm(v, alpha), k)
+
+
+def test_psi_extreme_magnitudes():
+    # the root t = (max|v|/c)^alpha is found without forming exp(max|v|/c)
+    assert psi_alpha_norm([1e308, 1e308], 2.0) == 1.20112240878645e308
+    assert psi_alpha_norm([5e-324], 2.0) == 5e-324
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_psi_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match=rf"v\[2\] = {bad}"):
+        psi_alpha_norm([1.0, 0.5, bad, 2.0], 1.0)
+
+
+def test_lemma_suite_values_pinned():
+    # the numbers criterion 7 and `phaselab check all` read
+    assert paley_zygmund_admitted(100, seed=779) == {
+        2.0: (100, 0.822265625), 4.0: (100, 0.6865234375), 8.0: (98, 0.5986328125)}
+    np.testing.assert_allclose(rearrangement_ratio_range(400, seed=778),
+                               (1.0698594357988285, 2.7582452623102354), rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,36 @@ def test_project_is_non_expansive(cset, x, y):
     assert gap <= np.linalg.norm(x - y) * (1.0 + 1e-12) + 1e-12
 
 
+def _topd_reference(X, d):
+    # the stable-argsort projection onto sparse_cap that the threshold replaced
+    order = np.argsort(-np.abs(X), axis=1, kind="stable")[:, :d]
+    Y = np.zeros_like(X)
+    np.put_along_axis(Y, order, np.take_along_axis(X, order, axis=1), axis=1)
+    return Y
+
+
+@st.composite
+def _rows_with_specials(draw):
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((6, n))
+    X[1] = rng.integers(-2, 3, n)       # integer-valued: ties, zeros of both signs
+    X[1][X[1] == 0.0] = rng.choice([0.0, -0.0], int(np.sum(X[1] == 0.0)))
+    X[2] = -0.0
+    specials = rng.uniform(size=(3, n)) < 0.3
+    X[3:][specials] = rng.choice([np.inf, -np.inf, np.nan, -0.0, 1.0], int(specials.sum()))
+    return X
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(X=_rows_with_specials())
+def test_project_sparse_equals_the_argsort_reference(X):
+    # bit for bit, at every d: the same entries kept, signed zeros and NaN included
+    for d in range(1, X.shape[1] + 1):
+        got = project(sparse_cap(X.shape[1], d), X)
+        assert got.view(np.uint64).tolist() == _topd_reference(X, d).view(np.uint64).tolist()
+
+
 def test_project_is_nearest_feasible_point():
     """project(x) beats 10^3 random feasible points for 10^4 random pairs."""
     rng = np.random.default_rng(23)
