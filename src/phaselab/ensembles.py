@@ -119,7 +119,9 @@ def generate_sample(x0, ensemble, noise, N, seed):
     """Draw a PhaseSample with y = (A @ x0)**2 + w.
 
     The matrix and the noise come from separate substreams of `seed`, so the
-    same seed always produces the same sample bit for bit.
+    same seed always produces the same sample bit for bit.  A is returned
+    column-major, so each coordinate's column is contiguous for the descent
+    kernel; y is computed from the row-major draw first, and A holds its values.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.shape[0] != ensemble.dimension:
@@ -129,7 +131,7 @@ def generate_sample(x0, ensemble, noise, N, seed):
     A = draw_measurements(ensemble, N, seed)
     w = draw_noise(noise, N, seed)
     y = (A @ x0) ** 2 + w
-    return PhaseSample(A=A, y=y, x0=x0.copy(), noise_realization=w)
+    return PhaseSample(A=np.asfortranarray(A), y=y, x0=x0.copy(), noise_realization=w)
 
 
 def estimate_smallball_kappa0(ensemble, pair_count, mc_samples, seed):

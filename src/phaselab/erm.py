@@ -21,30 +21,36 @@ from .sets import project, random_feasible
 _TINY = 1e-300
 
 
-def _loss(z, y):
-    """(1/N) sum (z_i^2 - y_i)^2 for the predictions z = A x; one value per row of a stack."""
+def _residual(z, y):
+    """z^2 - y for the predictions z = A x; row-wise on a stack."""
     r = z * z
     r -= y
-    r *= r
-    return r.sum(axis=-1) / r.shape[-1]
+    return r
 
 
-def _loss_gradient(A, z, y):
-    """(4/N) sum (z_i^2 - y_i) z_i a_i: the loss gradient at x, given z = A x; row-wise."""
-    r = z * z
-    r -= y
-    r *= z
-    return (4.0 / A.shape[0]) * (r @ A)
+def _loss(r):
+    """(1/N) sum r_i^2 for the residuals r = z^2 - y; one value per row of a stack."""
+    return np.einsum("...i,...i->...", r, r) / r.shape[-1]
+
+
+def _loss_gradient(A, z, r):
+    """(4/N) sum r_i z_i a_i: the loss gradient at x, given z = A x and r = z^2 - y; row-wise.
+
+    A column-major left factor keeps each row's result independent of the other rows; so
+    does it in `_DenseSteps.at`.
+    """
+    return (4.0 / A.shape[0]) * (np.asfortranarray(r * z) @ A)
 
 
 def objective(sample, x):
     """(1/N) sum (<a_i,x>^2 - y_i)^2."""
-    return float(_loss(sample.A @ np.asarray(x, dtype=float), sample.y))
+    return float(_loss(_residual(sample.A @ np.asarray(x, dtype=float), sample.y)))
 
 
 def gradient(sample, x):
     """Analytic gradient: (4/N) sum (<a_i,x>^2 - y_i) <a_i,x> a_i."""
-    return _loss_gradient(sample.A, sample.A @ np.asarray(x, dtype=float), sample.y)
+    z = sample.A @ np.asarray(x, dtype=float)
+    return _loss_gradient(sample.A, z, _residual(z, sample.y))
 
 
 def excess_loss_parts(sample, x, x0):
@@ -70,8 +76,15 @@ def excess_loss_parts(sample, x, x0):
 
 
 def _spectral_matrix(A, y):
-    """(1/N) sum y_i a_i a_i^T for the rows a_i of A."""
-    return (A.T @ (y[:, None] * A)) / A.shape[0]
+    """(1/N) sum y_i a_i a_i^T for the rows a_i of A.
+
+    Summed over blocks of 1024 rows, so the weighted rows never make a copy of A.
+    """
+    M = np.zeros((A.shape[1], A.shape[1]))
+    for start in range(0, A.shape[0], 1024):
+        rows = A[start:start + 1024]
+        M += rows.T @ (y[start:start + 1024, None] * rows)
+    return M / A.shape[0]
 
 
 def _leading_eig(M):
@@ -166,28 +179,139 @@ def error_metrics(x_hat, x0):
     return d_minus * d_plus, d_plus, -1
 
 
+# N * n from which sparse_cap PGD runs `_SparseSteps`: measured at n = 64, their table
+# builds and per-row bookkeeping lose to the dense products at N <= 1024 and win from 2048
+_SPARSE_MIN_SIZE = 2048 * 64
+
+
+@functools.lru_cache(maxsize=16)
+def _triples(w):
+    """Index triples p <= q <= r < w and the number of orderings of each (1, 3 or 6).
+
+    Sorted by r, then q, then p, so the triples of a narrower width come first.
+    """
+    t = sorted(itertools.combinations_with_replacement(range(w), 3), key=lambda t: t[::-1])
+    p, q, r = np.array(t, dtype=np.intp).reshape(-1, 3).T
+    return p, q, r, np.array([(0.0, 1.0, 3.0, 6.0)[len(set(u))] for u in t])
+
+
+class _DenseSteps:
+    """The loss and gradient of a descent step by one product with A each: O(N n) per row."""
+
+    def __init__(self, A, y):
+        self.A, self.y = A, y
+
+    def at(self, x):
+        """The loss at the rows of x, and what their gradient needs: z = A x and r = z^2 - y."""
+        z = np.asfortranarray(x) @ self.A.T
+        r = _residual(z, self.y)
+        return _loss(r), (z, r)
+
+    def gradient(self, z, r):
+        return _loss_gradient(self.A, z, r)
+
+    def keep(self, rows):
+        pass
+
+
+class _SparseSteps:
+    """The loss and gradient of a descent step at sparse points: O(N s) per row with s nonzeros.
+
+    z = A x comes from each row's own columns of A, kept while the row's support stays
+    the same.  With M the spectral matrix, the gradient (4/N) sum (z_i^2 - y_i) z_i a_i
+    is 4 (sum_{p<=q<=r in S} x_p x_q x_r T_S[pqr] - M[:, S] x_S) on the support S, where
+    T_S[pqr] = (orderings/N) sum_i a_ip a_iq a_ir a_i.  A table costs O(N n C(s+2, 3)) on
+    S's first visit and is kept for the call; a gradient then costs O(n C(s+2, 3)).
+    """
+
+    def __init__(self, A, y, M):
+        self.A, self.y, self.M, self.tables = A, y, M, {}
+        # a_p a_q a_r for half a table's triples, reused: a whole table's rows at once
+        # cost sparse_cap(64, 4) PGD ~1 MB more peak RSS for one pass less over A
+        self.products = np.empty((0, A.shape[0]))
+        self.S = self.cols = None  # supports and columns of the rows last evaluated
+
+    def at(self, x):
+        """The loss at the rows of x, and what their gradient needs: each row's nonzero
+        columns S in order, padded to one width with columns where the row is zero; its
+        values xs there; and its number of nonzeros."""
+        nz = x != 0
+        counts = nz.sum(axis=1)
+        S = np.argsort(~nz, axis=1, kind="stable")[:, :counts.max(initial=0)]
+        xs = x[np.arange(len(x))[:, None], S]
+        if self.S is None or self.S.shape != S.shape:
+            self.cols = self.A.T[S]
+        else:  # one row at a time, so no step holds a second copy of many rows' columns
+            for row in np.flatnonzero((S != self.S).any(axis=1)):
+                self.cols[row] = self.A.T[S[row]]
+        self.S = S
+        r = (xs[:, None, :] @ self.cols)[:, 0]  # z = A x, squared less y in place
+        r *= r
+        r -= self.y
+        return _loss(r), (S, xs, counts)
+
+    def keep(self, rows):
+        # move the kept rows' columns up in place, again with no second copy
+        kept = np.flatnonzero(rows)
+        for to, row in enumerate(kept):
+            if to != row:
+                self.cols[to] = self.cols[row]
+        self.S, self.cols = self.S[kept], self.cols[:kept.size]
+
+    def _table(self, supp):
+        key = supp.tobytes()
+        T = self.tables.get(key)
+        if T is None:
+            A = self.A
+            p, q, r, orderings = _triples(supp.size)
+            half = max((p.size + 1) // 2, 1)
+            if len(self.products) < half:
+                self.products = np.empty((half, A.shape[0]))
+            T = np.empty((p.size, A.shape[1]))
+            for start in range(0, p.size, half):
+                P = self.products[:min(half, p.size - start)]
+                for row, i, j, l in zip(P, supp[p[start:]], supp[q[start:]], supp[r[start:]]):
+                    np.multiply(A[:, i], A[:, j], out=row)
+                    row *= A[:, l]
+                T[start:start + len(P)] = P @ A
+            T *= (orderings / A.shape[0])[:, None]
+            self.tables[key] = T
+        return T
+
+    def gradient(self, S, xs, counts):
+        p, q, r, _ = _triples(S.shape[1])
+        T = np.zeros((len(S), p.size, self.A.shape[1]))
+        for Ti, row, s in zip(T, S, counts):
+            table = self._table(row[:s])
+            Ti[:len(table)] = table
+        c = xs[:, p] * xs[:, q] * xs[:, r]
+        g = (c[:, None, :] @ T)[:, 0] - (xs[:, None, :] @ self.M.T[S])[:, 0]
+        return 4.0 * g
+
+
 def _descend(A, y, X, base_step, max_iter, tol, project=None, shrink=0.5, growth=1.1,
-             fixed=False):
+             fixed=False, M=None):
     """Descent of the loss from each row of X, fixed or backtracking step, mapped by `project`.
 
     None means no projection.  Each row keeps its own step size, accept/reject test, exits
-    and iteration count; the live rows share one product with A per trial step and one per
-    gradient, and a row leaves them when it finishes.  Returns per-row (X, f, iterations,
-    converged).
+    and iteration count; the live rows share each step's products, and a row leaves them
+    when it finishes.  Given M, the spectral matrix of (A, y), the steps are `_SparseSteps`;
+    pass it only when every iterate has few nonzeros.  Returns per-row
+    (X, f, iterations, converged).
     """
     x = np.array(X, dtype=float, ndmin=2)
     k = x.shape[0]
     X, f, iters, conv = np.empty_like(x), np.empty(k), np.empty(k, dtype=int), np.empty(k, bool)
     live, step, it = np.arange(k), np.full(k, float(base_step)), np.ones(k, dtype=int)
-    z = x @ A.T
-    fx, g = _loss(z, y), _loss_gradient(A, z, y)
+    steps = _DenseSteps(A, y) if M is None else _SparseSteps(A, y, M)
+    fx, pt = steps.at(x)
+    g = steps.gradient(*pt)
     with np.errstate(over="ignore", invalid="ignore"):
         while live.size:
             x_new = x - step[:, None] * g
             if project is not None:
                 x_new = project(x_new)
-            z = x_new @ A.T
-            f_new = _loss(z, y)
+            f_new, pt = steps.at(x_new)
             move2 = ((x_new - x) ** 2).sum(axis=1)
             s = np.maximum(step, _TINY)
             ok = fixed | (np.isfinite(f_new) & (f_new <= fx - 1e-4 * move2 / s))
@@ -199,13 +323,17 @@ def _descend(A, y, X, base_step, max_iter, tol, project=None, shrink=0.5, growth
                 rows, keep = live[done], ~done
                 X[rows], f[rows] = x[done], fx[done]
                 iters[rows], conv[rows] = it[done], stop[done]
-                live, x, fx, step, it, ok, z, g = (v[keep] for v in (live, x, fx, step, it, ok, z, g))
+                if not keep.any():
+                    break
+                live, x, fx, step, it, ok, g = (v[keep] for v in (live, x, fx, step, it, ok, g))
+                pt = tuple(v[keep] for v in pt)
+                steps.keep(keep)
             step = step * np.where(ok, 1.0 if fixed else growth, shrink)
             it += ok
             if ok.all():
-                g = _loss_gradient(A, z, y)
+                g = steps.gradient(*pt)
             elif ok.any():
-                g[ok] = _loss_gradient(A, z[ok], y)
+                g[ok] = steps.gradient(*(v[ok] for v in pt))
     return X, f, iters, conv
 
 
@@ -219,7 +347,8 @@ def solve_pgd(sample, cset, config, seed):
     """
     if sample.n != cset.n:
         raise ValueError(f"sample dimension {sample.n} != set dimension {cset.n}")
-    lam1, v1 = _leading_eig(_spectral_matrix(sample.A, sample.y))
+    M = _spectral_matrix(sample.A, sample.y)
+    lam1, v1 = _leading_eig(M)
     rule = config.step_rule
     if rule.step is not None:
         base_step = rule.step
@@ -236,10 +365,13 @@ def solve_pgd(sample, cset, config, seed):
             z = project(cset, z * (norm0 / nz))
         starts.append(z)
 
+    # sparse steps on d-sparse iterates, with moment tables no larger than A
+    sparse = (cset.kind == "sparse_cap" and math.comb(cset.d + 2, 3) <= cset.n
+              and sample.A.size >= _SPARSE_MIN_SIZE)
     X, f, iters, conv = _descend(
         sample.A, sample.y, np.array(starts), base_step, config.max_iterations,
         config.gradient_tolerance, functools.partial(project, cset),
-        rule.shrink, rule.growth, rule.kind == "fixed")
+        rule.shrink, rule.growth, rule.kind == "fixed", M if sparse else None)
     # a diverged run never wins; if all diverged, argmin keeps restart 0
     best = int(np.argmin(np.where(np.isfinite(f), f, np.inf)))
     prod, sign, _ = error_metrics(X[best], sample.x0)

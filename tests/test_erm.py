@@ -309,26 +309,30 @@ def test_pgd_never_ends_above_its_projected_spectral_start(cset, seed, N, sigma,
 
 
 @pytest.mark.parametrize(
-    "cset", [sparse_cap(6, 2), l1_ball(6, 1.5), l2_ball(6, 2.0), ambient(6)],
-    ids=lambda c: c.kind,
+    "cset, tables",
+    [(sparse_cap(6, 2), False), (l1_ball(6, 1.5), False), (l2_ball(6, 2.0), False),
+     (ambient(6), False), (sparse_cap(6, 2), True)],
+    ids=["sparse_cap", "l1_ball", "l2_ball", "ambient", "sparse_cap_tables"],
 )
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6), sigma=st.sampled_from([0.1, 1.0]))
-def test_batched_descent_rows_are_independent(cset, seed, k, sigma):
+def test_batched_descent_rows_are_independent(cset, tables, seed, k, sigma):
     # a k-row product rounds differently from a one-row product, and over a full
     # run a backtracking, projected descent can turn that into another accept or
     # reject and another local minimum; so a batch row is compared with its solo
     # run over a short horizon only, behind a zero row (stationary: it leaves at
-    # iteration 1), and a full run must commute with permuting the rows exactly
+    # iteration 1), and a full run must commute with permuting the rows exactly.
+    # With `tables` the kernel gets the spectral matrix and runs its sparse steps
     rng = np.random.default_rng(seed)
     x0 = random_feasible(cset, rng, 1)[0]
     s = generate_sample(x0, GAUSS(6), NoiseModel("gaussian", sigma), 40, seed=seed)
     starts = project(cset, 2.0 * rng.standard_normal((k, 6)))
     base_step = 0.1 / max(float(spectral_init(s) @ spectral_init(s)), 1e-12)
+    M = erm._spectral_matrix(s.A, s.y) if tables else None
 
     def run(X, max_iter):
         return erm._descend(s.A, s.y, X, base_step, max_iter, 1e-8,
-                            functools.partial(project, cset))
+                            functools.partial(project, cset), M=M)
 
     _, f, iters, conv = run(np.vstack([np.zeros(6), starts]), 5)
     assert iters[0] == 1 and conv[0]
@@ -342,6 +346,60 @@ def test_batched_descent_rows_are_independent(cset, seed, k, sigma):
     perm = rng.permutation(k)
     for got, want in zip(run(starts[perm], 200), full):
         np.testing.assert_array_equal(got, want[perm])
+
+
+def _sparse_points(rng, n, d, k):
+    """k points with at most d nonzeros: the zero row first, then random supports of
+    every size from 0 to d."""
+    X = np.zeros((k, n))
+    for i in range(1, k):
+        size = int(rng.integers(0, d + 1))
+        scale = 2.0 ** rng.integers(-3, 4)
+        X[i, rng.choice(n, size, replace=False)] = scale * rng.standard_normal(size)
+    return X
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 4),
+       N=st.integers(1, 60), sigma=st.sampled_from([0.0, 0.5, 2.0]))
+def test_table_gradient_equals_the_dense_gradient(seed, n, d, N, sigma):
+    # the sparse steps' gradient, 4 (sum x_p x_q x_r T_S[pqr] - M[:, S] x_S), is the
+    # analytic gradient to rounding: within 1e-12 of the sum of the absolute terms
+    # (4/N) sum (|z_i|^3 + |y_i z_i|) |a_ij|.  A wrong ordering count in a table or a
+    # flipped sign on the M term fails it
+    d = min(d, n)
+    rng = np.random.default_rng(seed)
+    x0 = _sparse_points(rng, n, d, 2)[1]
+    noise = NoiseModel("gaussian", sigma) if sigma > 0 else QUIET
+    s = generate_sample(x0, GAUSS(n), noise, N, seed=seed)
+    X = _sparse_points(rng, n, d, 6)
+    steps = erm._SparseSteps(s.A, s.y, erm._spectral_matrix(s.A, s.y))
+    f, pt = steps.at(X)
+    g = steps.gradient(*pt)
+    for i, x in enumerate(X):
+        z = s.A @ x
+        terms = (4.0 / N) * ((np.abs(z) ** 3 + np.abs(s.y * z)) @ np.abs(s.A))
+        assert np.all(np.abs(g[i] - gradient(s, x)) <= 1e-12 * terms)
+        assert f[i] == pytest.approx(objective(s, x), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12), d=st.integers(1, 4),
+       sigma=st.sampled_from([0.1, 1.0]))
+def test_sparse_steps_end_where_dense_steps_end(seed, n, d, sigma):
+    # from the same d-sparse starts, the descent with the spectral matrix (sparse steps)
+    # and without it (dense products) end on the same objectives, to 1e-12 relative
+    d = min(d, n // 2)
+    cset = sparse_cap(n, d)
+    rng = np.random.default_rng(seed)
+    x0 = random_feasible(cset, rng, 1)[0]
+    s = generate_sample(x0, GAUSS(n), NoiseModel("gaussian", sigma), 20 * n, seed=seed)
+    starts = project(cset, rng.standard_normal((4, n)))
+    base_step = 0.1 / max(float(spectral_init(s) @ spectral_init(s)), 1e-12)
+    runs = [erm._descend(s.A, s.y, starts, base_step, 300, 1e-8,
+                         functools.partial(project, cset), M=M)
+            for M in (None, erm._spectral_matrix(s.A, s.y))]
+    np.testing.assert_allclose(runs[1][1], runs[0][1], rtol=1e-12, atol=0.0)
 
 
 def test_pgd_diverged_first_restart_never_wins():
