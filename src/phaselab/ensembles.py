@@ -93,14 +93,18 @@ def draw_measurements(ensemble, N, seed):
     """Draw an (N, n) measurement matrix with i.i.d. rows from `ensemble`."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    rng = substream(seed, 0)
+    return _draw_rows(ensemble, substream(seed, 0), N)
+
+
+def _draw_rows(ensemble, rng, m):
+    """The next m rows from `rng`, row-major; rows drawn in blocks equal one draw of them all."""
     n = ensemble.dimension
     if ensemble.kind == "standard_gaussian":
-        return rng.standard_normal((N, n))
+        return rng.standard_normal((m, n))
     if ensemble.kind == "rademacher":
-        return rng.integers(0, 2, size=(N, n)).astype(float) * 2.0 - 1.0
+        return rng.integers(0, 2, size=(m, n)).astype(float) * 2.0 - 1.0
     # scaled_uniform: U[-sqrt(3), sqrt(3)] has variance 1
-    return rng.uniform(-_SQRT3, _SQRT3, size=(N, n))
+    return rng.uniform(-_SQRT3, _SQRT3, size=(m, n))
 
 
 def draw_noise(model, N, seed):
@@ -119,19 +123,27 @@ def generate_sample(x0, ensemble, noise, N, seed):
     """Draw a PhaseSample with y = (A @ x0)**2 + w.
 
     The matrix and the noise come from separate substreams of `seed`, so the
-    same seed always produces the same sample bit for bit.  A is returned
-    column-major, so each coordinate's column is contiguous for the descent
-    kernel; y is computed from the row-major draw first, and A holds its values.
+    same seed always produces the same sample bit for bit.  A holds the values
+    of `draw_measurements`, stored column-major so that each coordinate's
+    column is contiguous for the descent kernel; it is filled from row-major
+    blocks of the draw, so no second copy of A is held.  y is computed from
+    those blocks, which gives the bits of the row-major product; `A @ x0` on
+    the returned A may round differently, so for it the identity holds to
+    rounding.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.shape[0] != ensemble.dimension:
         raise ValueError(
             f"x0 must be a vector of length {ensemble.dimension}, got shape {x0.shape}"
         )
-    A = draw_measurements(ensemble, N, seed)
     w = draw_noise(noise, N, seed)
-    y = (A @ x0) ** 2 + w
-    return PhaseSample(A=np.asfortranarray(A), y=y, x0=x0.copy(), noise_realization=w)
+    rng = substream(seed, 0)
+    A, z = np.empty((N, ensemble.dimension), order="F"), np.empty(N)
+    for start in range(0, N, 1024):
+        rows = _draw_rows(ensemble, rng, min(1024, N - start))
+        A[start:start + len(rows)] = rows
+        z[start:start + len(rows)] = rows @ x0
+    return PhaseSample(A=A, y=z ** 2 + w, x0=x0.copy(), noise_realization=w)
 
 
 def estimate_smallball_kappa0(ensemble, pair_count, mc_samples, seed):

@@ -179,9 +179,17 @@ def error_metrics(x_hat, x0):
     return d_minus * d_plus, d_plus, -1
 
 
-# N * n from which sparse_cap PGD runs `_SparseSteps`: measured at n = 64, their table
-# builds and per-row bookkeeping lose to the dense products at N <= 1024 and win from 2048
-_SPARSE_MIN_SIZE = 2048 * 64
+def _sparse_steps_pay(cset, N):
+    """Whether PGD on `cset` with N measurements runs `_SparseSteps`: on sparse_cap, when
+    N n >= 2^13 max(16, C(d+2, 3)).
+
+    The sparse steps save two O(N n) products per restart-step, but pay a fixed cost in
+    support bookkeeping per step and a table build of about C(d+2, 3) dense gradients per
+    recurring support.  The rule is fitted to wall times of 4 trials of 8 restarts at 32
+    cells (n 16-256, d 1-6, N 512-16384; see CHANGES.md): it never picks the sparse steps
+    where they were the slower form, and it misses at most a 25% gain near its boundary.
+    """
+    return cset.kind == "sparse_cap" and N * cset.n >= 2**13 * max(16, math.comb(cset.d + 2, 3))
 
 
 @functools.lru_cache(maxsize=16)
@@ -220,15 +228,14 @@ class _SparseSteps:
     z = A x comes from each row's own columns of A, kept while the row's support stays
     the same.  With M the spectral matrix, the gradient (4/N) sum (z_i^2 - y_i) z_i a_i
     is 4 (sum_{p<=q<=r in S} x_p x_q x_r T_S[pqr] - M[:, S] x_S) on the support S, where
-    T_S[pqr] = (orderings/N) sum_i a_ip a_iq a_ir a_i.  A table costs O(N n C(s+2, 3)) on
-    S's first visit and is kept for the call; a gradient then costs O(n C(s+2, 3)).
+    T_S[pqr] = (orderings/N) sum_i a_ip a_iq a_ir a_i.  A table costs about C(s+2, 3)
+    dense gradients to build, and a gradient from it O(n C(s+2, 3)).  At a support not
+    met before in the call, the gradient is the dense product, O(N n); the table is built
+    when the support recurs and kept for the call, so a support met once costs no build.
     """
 
     def __init__(self, A, y, M):
-        self.A, self.y, self.M, self.tables = A, y, M, {}
-        # a_p a_q a_r for half a table's triples, reused: a whole table's rows at once
-        # cost sparse_cap(64, 4) PGD ~1 MB more peak RSS for one pass less over A
-        self.products = np.empty((0, A.shape[0]))
+        self.A, self.y, self.M, self.tables, self.seen = A, y, M, {}, set()
         self.S = self.cols = None  # supports and columns of the rows last evaluated
 
     def at(self, x):
@@ -262,31 +269,35 @@ class _SparseSteps:
         key = supp.tobytes()
         T = self.tables.get(key)
         if T is None:
-            A = self.A
             p, q, r, orderings = _triples(supp.size)
-            half = max((p.size + 1) // 2, 1)
-            if len(self.products) < half:
-                self.products = np.empty((half, A.shape[0]))
-            T = np.empty((p.size, A.shape[1]))
-            for start in range(0, p.size, half):
-                P = self.products[:min(half, p.size - start)]
-                for row, i, j, l in zip(P, supp[p[start:]], supp[q[start:]], supp[r[start:]]):
-                    np.multiply(A[:, i], A[:, j], out=row)
-                    row *= A[:, l]
-                T[start:start + len(P)] = P @ A
-            T *= (orderings / A.shape[0])[:, None]
+            T = np.zeros((p.size, self.A.shape[1]))
+            for start in range(0, self.A.shape[0], 1024):  # a_p a_q a_r for 1024 rows at a time
+                rows = self.A[start:start + 1024]
+                cols = rows[:, supp]
+                P = cols[:, p] * cols[:, q]
+                P *= cols[:, r]
+                T += P.T @ rows
+            T *= (orderings / self.A.shape[0])[:, None]
             self.tables[key] = T
         return T
 
     def gradient(self, S, xs, counts):
         p, q, r, _ = _triples(S.shape[1])
         T = np.zeros((len(S), p.size, self.A.shape[1]))
-        for Ti, row, s in zip(T, S, counts):
-            table = self._table(row[:s])
-            Ti[:len(table)] = table
+        supps = [row[:s] for row, s in zip(S, counts)]
+        # a support not met before this call: the same for every row on it, whatever their order
+        first = np.array([supp.tobytes() not in self.seen for supp in supps], dtype=bool)
+        for Ti, supp, new in zip(T, supps, first):
+            if not new:
+                table = self._table(supp)
+                Ti[:len(table)] = table
+        self.seen.update(supp.tobytes() for supp in supps)
         c = xs[:, p] * xs[:, q] * xs[:, r]
-        g = (c[:, None, :] @ T)[:, 0] - (xs[:, None, :] @ self.M.T[S])[:, 0]
-        return 4.0 * g
+        g = 4.0 * ((c[:, None, :] @ T)[:, 0] - (xs[:, None, :] @ self.M.T[S])[:, 0])
+        for i in np.flatnonzero(first):  # one row at a time: no (k, N) temporaries
+            z = xs[i] @ self.A.T[S[i]]
+            g[i] = _loss_gradient(self.A, z, _residual(z, self.y))
+        return g
 
 
 def _descend(A, y, X, base_step, max_iter, tol, project=None, shrink=0.5, growth=1.1,
@@ -365,9 +376,7 @@ def solve_pgd(sample, cset, config, seed):
             z = project(cset, z * (norm0 / nz))
         starts.append(z)
 
-    # sparse steps on d-sparse iterates, with moment tables no larger than A
-    sparse = (cset.kind == "sparse_cap" and math.comb(cset.d + 2, 3) <= cset.n
-              and sample.A.size >= _SPARSE_MIN_SIZE)
+    sparse = _sparse_steps_pay(cset, sample.N)
     X, f, iters, conv = _descend(
         sample.A, sample.y, np.array(starts), base_step, config.max_iterations,
         config.gradient_tolerance, functools.partial(project, cset),

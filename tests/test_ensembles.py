@@ -87,18 +87,20 @@ def test_generate_sample_identity():
     assert np.array_equal(s.y, (s.A @ x0) ** 2 + s.noise_realization)
 
 
+@pytest.mark.parametrize("n, N", [(7, 513), (7, 2500), (64, 4096)])
 @pytest.mark.parametrize("kind", ["standard_gaussian", "rademacher", "scaled_uniform"])
-def test_generate_sample_returns_the_draw_column_major(kind):
-    # the descent kernel reads a coordinate's column contiguously; A keeps the drawn
-    # values, and y is the row-major draw's (A x0)^2 + w, bit for bit
-    ens, noise = Ensemble(kind, 7), NoiseModel("gaussian", 0.3)
-    x0 = np.linspace(-1.0, 2.0, 7)
-    s = generate_sample(x0, ens, noise, 513, seed=19)
-    drawn = draw_measurements(ens, 513, seed=19)
+def test_generate_sample_returns_the_draw_column_major(kind, n, N):
+    # the descent kernel reads a coordinate's column contiguously; A, filled from
+    # row blocks of the draw, keeps the drawn values, and y is the row-major
+    # draw's (A x0)^2 + w, bit for bit, also over several blocks and a short last one
+    ens, noise = Ensemble(kind, n), NoiseModel("gaussian", 0.3)
+    x0 = np.linspace(-1.0, 2.0, n)
+    s = generate_sample(x0, ens, noise, N, seed=19)
+    drawn = draw_measurements(ens, N, seed=19)
     assert drawn.flags.c_contiguous
     assert s.A.flags.f_contiguous and not s.A.flags.c_contiguous
     assert np.array_equal(s.A, drawn)
-    w = draw_noise(noise, 513, seed=19)
+    w = draw_noise(noise, N, seed=19)
     assert np.array_equal(s.noise_realization, w)
     assert s.y.tobytes() == ((drawn @ x0) ** 2 + w).tobytes()
 

@@ -363,10 +363,11 @@ def _sparse_points(rng, n, d, k):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 4),
        N=st.integers(1, 60), sigma=st.sampled_from([0.0, 0.5, 2.0]))
 def test_table_gradient_equals_the_dense_gradient(seed, n, d, N, sigma):
-    # the sparse steps' gradient, 4 (sum x_p x_q x_r T_S[pqr] - M[:, S] x_S), is the
-    # analytic gradient to rounding: within 1e-12 of the sum of the absolute terms
-    # (4/N) sum (|z_i|^3 + |y_i z_i|) |a_ij|.  A wrong ordering count in a table or a
-    # flipped sign on the M term fails it
+    # the sparse steps' gradient is the analytic gradient to rounding: within 1e-12 of
+    # the sum of the absolute terms (4/N) sum (|z_i|^3 + |y_i z_i|) |a_ij|, both on a
+    # support's first visit (the dense product) and on its second, where it is
+    # 4 (sum x_p x_q x_r T_S[pqr] - M[:, S] x_S).  A wrong ordering count in a table or
+    # a flipped sign on the M term fails it
     d = min(d, n)
     rng = np.random.default_rng(seed)
     x0 = _sparse_points(rng, n, d, 2)[1]
@@ -375,11 +376,13 @@ def test_table_gradient_equals_the_dense_gradient(seed, n, d, N, sigma):
     X = _sparse_points(rng, n, d, 6)
     steps = erm._SparseSteps(s.A, s.y, erm._spectral_matrix(s.A, s.y))
     f, pt = steps.at(X)
-    g = steps.gradient(*pt)
+    first, second = steps.gradient(*pt), steps.gradient(*pt)
+    assert len(steps.tables) == len({x.nonzero()[0].tobytes() for x in X})
     for i, x in enumerate(X):
         z = s.A @ x
         terms = (4.0 / N) * ((np.abs(z) ** 3 + np.abs(s.y * z)) @ np.abs(s.A))
-        assert np.all(np.abs(g[i] - gradient(s, x)) <= 1e-12 * terms)
+        for g in (first, second):
+            assert np.all(np.abs(g[i] - gradient(s, x)) <= 1e-12 * terms)
         assert f[i] == pytest.approx(objective(s, x), rel=1e-12, abs=0.0)
 
 
