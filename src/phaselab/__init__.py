@@ -37,7 +37,6 @@ from .ensembles import (
 )
 from .erm import (
     SolverConfig,
-    StepRule,
     TrialResult,
     error_metrics,
     excess_loss_parts,

@@ -8,6 +8,7 @@ so adding or reordering consumers never perturbs anybody else's draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
-        if self.scale < 0:
-            raise ValueError(f"noise scale must be >= 0, got {self.scale}")
+        if not 0 <= self.scale < math.inf:
+            raise ValueError(f"noise scale must be finite and >= 0, got {self.scale}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,40 +116,17 @@ def spectral_init(sample):
 
 
 @dataclass(frozen=True)
-class StepRule:
-    """"backtracking" (sufficient-decrease line search) or "fixed".
-
-    step=None means the default initial step 0.1 / lambda_1 of the spectral
-    matrix.
-    """
-
-    kind: str = "backtracking"
-    step: float | None = None
-    shrink: float = 0.5
-    growth: float = 1.1
-
-    def __post_init__(self):
-        if self.kind not in ("backtracking", "fixed"):
-            raise ValueError(f"unknown step rule {self.kind!r}")
-        if self.step is not None and not self.step > 0:
-            raise ValueError("explicit step must be > 0")
-        if not (0 < self.shrink < 1) or not self.growth >= 1:
-            raise ValueError("need 0 < shrink < 1 and growth >= 1")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 300
     gradient_tolerance: float = 1e-8
-    step_rule: StepRule = field(default_factory=StepRule)
     restarts: int = 1
     oracle_budget: int = 200_000
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.gradient_tolerance < 0:
-            raise ValueError("gradient_tolerance must be >= 0")
+        if not 0 <= self.gradient_tolerance < math.inf:
+            raise ValueError("gradient_tolerance must be finite and >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.oracle_budget < 1:
@@ -300,15 +277,15 @@ class _SparseSteps:
         return g
 
 
-def _descend(A, y, X, base_step, max_iter, tol, project=None, shrink=0.5, growth=1.1,
-             fixed=False, M=None):
-    """Descent of the loss from each row of X, fixed or backtracking step, mapped by `project`.
+def _descend(A, y, X, base_step, max_iter, tol, project=None, M=None):
+    """Descent of the loss from each row of X by backtracking steps, mapped by `project`.
 
-    None means no projection.  Each row keeps its own step size, accept/reject test, exits
-    and iteration count; the live rows share each step's products, and a row leaves them
-    when it finishes.  Given M, the spectral matrix of (A, y), the steps are `_SparseSteps`;
-    pass it only when every iterate has few nonzeros.  Returns per-row
-    (X, f, iterations, converged).
+    None means no projection.  A step is accepted on sufficient decrease (Armijo constant
+    1e-4); an accepted step grows the row's step size by 1.1, a rejected one halves it.
+    Each row keeps its own step size, accept/reject test, exits and iteration count; the
+    live rows share each step's products, and a row leaves them when it finishes.  Given
+    M, the spectral matrix of (A, y), the steps are `_SparseSteps`; pass it only when
+    every iterate has few nonzeros.  Returns per-row (X, f, iterations, converged).
     """
     x = np.array(X, dtype=float, ndmin=2)
     k = x.shape[0]
@@ -325,7 +302,7 @@ def _descend(A, y, X, base_step, max_iter, tol, project=None, shrink=0.5, growth
             f_new, pt = steps.at(x_new)
             move2 = ((x_new - x) ** 2).sum(axis=1)
             s = np.maximum(step, _TINY)
-            ok = fixed | (np.isfinite(f_new) & (f_new <= fx - 1e-4 * move2 / s))
+            ok = np.isfinite(f_new) & (f_new <= fx - 1e-4 * move2 / s)
             x, fx = np.where(ok[:, None], x_new, x), np.where(ok, f_new, fx)
             # converged: an accepted step within tol, or a rejected one at the floor step
             stop = np.where(ok, np.sqrt(move2) / s <= tol, step <= 1e-16 * base_step)
@@ -339,7 +316,7 @@ def _descend(A, y, X, base_step, max_iter, tol, project=None, shrink=0.5, growth
                 live, x, fx, step, it, ok, g = (v[keep] for v in (live, x, fx, step, it, ok, g))
                 pt = tuple(v[keep] for v in pt)
                 steps.keep(keep)
-            step = step * np.where(ok, 1.0 if fixed else growth, shrink)
+            step = step * np.where(ok, 1.1, 0.5)
             it += ok
             if ok.all():
                 g = steps.gradient(*pt)
@@ -360,11 +337,7 @@ def solve_pgd(sample, cset, config, seed):
         raise ValueError(f"sample dimension {sample.n} != set dimension {cset.n}")
     M = _spectral_matrix(sample.A, sample.y)
     lam1, v1 = _leading_eig(M)
-    rule = config.step_rule
-    if rule.step is not None:
-        base_step = rule.step
-    else:
-        base_step = 0.1 / lam1 if lam1 > 0 else 1.0
+    base_step = 0.1 / lam1 if lam1 > 0 else 1.0
 
     rng = substream(seed, 0)
     starts = [project(cset, _spectral_start(lam1, v1))]
@@ -379,8 +352,7 @@ def solve_pgd(sample, cset, config, seed):
     sparse = _sparse_steps_pay(cset, sample.N)
     X, f, iters, conv = _descend(
         sample.A, sample.y, np.array(starts), base_step, config.max_iterations,
-        config.gradient_tolerance, functools.partial(project, cset),
-        rule.shrink, rule.growth, rule.kind == "fixed", M if sparse else None)
+        config.gradient_tolerance, functools.partial(project, cset), M if sparse else None)
     # a diverged run never wins; if all diverged, argmin keeps restart 0
     best = int(np.argmin(np.where(np.isfinite(f), f, np.inf)))
     prod, sign, _ = error_metrics(X[best], sample.x0)

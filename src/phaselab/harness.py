@@ -116,9 +116,10 @@ class X0Spec:
             if self.vector is None:
                 raise ValueError("explicit x0 needs a vector")
             object.__setattr__(self, "vector", _convert(tuple[float, ...], self.vector, "vector"))
-        else:
-            if self.R0 is None or self.R0 < 0:
-                raise ValueError(f"{self.mode} needs R0 >= 0")
+            if not all(map(math.isfinite, self.vector)):
+                raise ValueError("explicit x0 vector entries must be finite")
+        elif self.R0 is None or not 0 <= self.R0 < math.inf:
+            raise ValueError(f"{self.mode} needs a finite R0 >= 0, got {self.R0}")
         if self.mode == "random_sparse" and (self.d is None or self.d < 1):
             raise ValueError("random_sparse needs d >= 1")
 
@@ -144,7 +145,6 @@ class ExperimentConfig:
     trials_per_cell: int
     solver: SolverSpec
     master_seed: int
-    success_sign_error: float = 1e-6
 
     def __post_init__(self):
         object.__setattr__(self, "N_grid", _convert(tuple[int, ...], self.N_grid, "N_grid"))
@@ -154,8 +154,8 @@ class ExperimentConfig:
             raise ValueError("N_grid and sigma_grid must be non-empty")
         if any(N < 1 for N in self.N_grid):
             raise ValueError("N_grid entries must be >= 1")
-        if any(s < 0 for s in self.sigma_grid):
-            raise ValueError("sigma_grid entries must be >= 0")
+        if not all(0 <= s < math.inf for s in self.sigma_grid):
+            raise ValueError(f"sigma_grid entries must be finite and >= 0, got {self.sigma_grid}")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
         if self.constraint_set.n != self.ensemble.dimension:
@@ -164,6 +164,9 @@ class ExperimentConfig:
             raise ValueError("sigma_grid has positive entries but the noise kind is 'none'")
         if self.x0_spec.mode == "explicit" and len(self.x0_spec.vector) != self.constraint_set.n:
             raise ValueError("explicit x0 has the wrong dimension")
+        if self.x0_spec.mode == "random_sparse" and self.x0_spec.d > self.constraint_set.n:
+            raise ValueError(f"random_sparse d={self.x0_spec.d} exceeds dimension "
+                             f"{self.constraint_set.n}")
 
 
 @dataclass(frozen=True)
@@ -209,12 +212,9 @@ def _draw_x0(config, cell_index, trial):
     if spec.R0 == 0.0:
         return np.zeros(n)
     if spec.mode == "random_sparse":
-        d = spec.d
-        if d > n:
-            raise ValueError(f"random_sparse d={d} exceeds dimension {n}")
         x0 = np.zeros(n)
-        supp = rng.choice(n, size=d, replace=False)
-        vals = rng.standard_normal(d)
+        supp = rng.choice(n, size=spec.d, replace=False)
+        vals = rng.standard_normal(spec.d)
         x0[supp] = vals * (spec.R0 / np.linalg.norm(vals))
         return x0
     # random_on_shell
@@ -247,8 +247,9 @@ def _run_task(args):
     )
 
 
-def summarize(rows, success_sign_error=1e-6):
-    """Per-cell medians over converged trials plus the success fraction."""
+def summarize(rows):
+    """Per-cell medians over converged trials, and the fraction of trials that succeeded:
+    converged with sign error <= 1e-6."""
     cells = {}
     for row in rows:
         cells.setdefault((row.N, row.sigma), []).append(row)
@@ -257,7 +258,7 @@ def summarize(rows, success_sign_error=1e-6):
         conv = [r for r in group if r.converged]
         med_p = float(np.median([r.product_error for r in conv])) if conv else math.nan
         med_s = float(np.median([r.sign_error for r in conv])) if conv else math.nan
-        successes = sum(1 for r in conv if r.sign_error <= success_sign_error)
+        successes = sum(1 for r in conv if r.sign_error <= 1e-6)
         out.append(CellSummary(
             N=key[0], sigma=key[1], n_trials=len(group), n_converged=len(conv),
             median_product_error=med_p, median_sign_error=med_s,
@@ -281,7 +282,7 @@ def run_experiment(config, threads=None):
             rows = list(pool.map(_run_task, tasks, chunksize=1))
     else:
         rows = [_run_task(t) for t in tasks]
-    return ResultsTable(tuple(rows), tuple(summarize(rows, config.success_sign_error)))
+    return ResultsTable(tuple(rows), tuple(summarize(rows)))
 
 
 def fit_slope(table, x_axis, y):

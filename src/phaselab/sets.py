@@ -51,8 +51,8 @@ class ConstraintSet:
             if self.d is None or not (1 <= int(self.d) <= self.n):
                 raise ValueError(f"sparse_cap needs 1 <= d <= n, got d={self.d}, n={self.n}")
         if self.kind in ("l1_ball", "l2_ball"):
-            if self.radius is None or not (self.radius > 0):
-                raise ValueError(f"{self.kind} needs radius > 0, got {self.radius}")
+            if self.radius is None or not 0 < self.radius < math.inf:
+                raise ValueError(f"{self.kind} needs a finite radius > 0, got {self.radius}")
 
 
 def sparse_cap(n, d):

@@ -182,13 +182,25 @@ def test_simulate_config_missing_field(capsys, tmp_path, config_path):
 
 
 def test_simulate_config_unknown_field(capsys, tmp_path, config_path):
+    # a typo, and a key that only a config saved by an older version carries
+    for key, value in (("restart", 8), ("step_rule", {"kind": "backtracking"})):
+        data = json.loads(config_path.read_text())
+        data["solver"]["config"] = {key: value}
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = _run(capsys, "simulate", str(bad))
+        assert code == 2
+        assert "solver.config" in err and f"'{key}'" in err
+
+
+def test_simulate_config_non_finite_number(capsys, tmp_path, config_path):
     data = json.loads(config_path.read_text())
-    data["solver"]["config"] = {"restart": 8}
-    bad = tmp_path / "typo.json"
-    bad.write_text(json.dumps(data))
-    code, _, err = _run(capsys, "simulate", str(bad))
-    assert code == 2
-    assert "solver.config" in err and "'restart'" in err
+    data["sigma_grid"] = [math.nan]
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(data))  # written as the JSON extension NaN
+    code, out, err = _run(capsys, "simulate", str(bad))
+    assert code == 2 and out == ""
+    assert "sigma_grid" in err and "finite" in err
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from phaselab import (
     ResultsTable,
     SolverConfig,
     SolverSpec,
-    StepRule,
     TrialRow,
     X0Spec,
     ambient,
@@ -240,16 +239,25 @@ def test_x0_spec_validation():
         SolverSpec(kind="simulated_annealing")
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda: _sparse_config(N_grid=(256.7, True)), "N_grid[0]: expected an integer, got 256.7"),
-    (lambda: _sparse_config(N_grid=(256, True)), "N_grid[1]: expected an integer, got True"),
-    (lambda: _sparse_config(sigma_grid=(True,)), "sigma_grid[0]: expected a number, got True"),
-    (lambda: X0Spec(mode="explicit", vector=(0.5, False)), "vector[1]: expected a number, got False"),
-], ids=["N_grid-float", "N_grid-bool", "sigma_grid-bool", "vector-bool"])
-def test_constructor_checks_grid_entries_as_the_codec_does(build, message):
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: _sparse_config(N_grid=(256.7, True)), ConfigError,
+     "N_grid[0]: expected an integer, got 256.7"),
+    (lambda: _sparse_config(N_grid=(256, True)), ConfigError,
+     "N_grid[1]: expected an integer, got True"),
+    (lambda: _sparse_config(sigma_grid=(True,)), ConfigError,
+     "sigma_grid[0]: expected a number, got True"),
+    (lambda: X0Spec(mode="explicit", vector=(0.5, False)), ConfigError,
+     "vector[1]: expected a number, got False"),
+    (lambda: _sparse_config(constraint_set=sparse_cap(4, 4),
+                            ensemble=Ensemble("standard_gaussian", 4),
+                            x0_spec=X0Spec(mode="random_sparse", R0=1.0, d=5)), ValueError,
+     "random_sparse d=5 exceeds dimension 4"),
+], ids=["N_grid-float", "N_grid-bool", "sigma_grid-bool", "vector-bool", "random_sparse-d-above-n"])
+def test_constructor_checks_grid_entries_as_the_codec_does(build, error, message):
     # built in Python, the grids and the explicit x0 are read with the codec's
-    # entry-by-entry checks, not truncated with int() / float()
-    with pytest.raises(ConfigError, match=re.escape(message)):
+    # entry-by-entry checks, not truncated with int() / float(); a random_sparse
+    # support larger than the set's dimension is refused before any trial runs
+    with pytest.raises(error, match=re.escape(message)):
         build()
 
 
@@ -345,17 +353,6 @@ def test_rows_carry_the_requested_shell_norm():
     table = run_experiment(config)
     for row in table.rows:
         assert row.R0 == pytest.approx(0.7, abs=1e-8)
-
-
-def test_random_sparse_draw_rejects_oversized_support():
-    config = _sparse_config(
-        constraint_set=sparse_cap(4, 4),
-        ensemble=Ensemble("standard_gaussian", 4),
-        x0_spec=X0Spec(mode="random_sparse", R0=1.0, d=5),
-        N_grid=(20,),
-    )
-    with pytest.raises(ValueError):
-        run_experiment(config)
 
 
 @pytest.mark.parametrize("cset", [l1_ball(6, 1.0), l2_ball(6, 1.0)], ids=lambda c: c.kind)
@@ -483,6 +480,11 @@ def test_results_round_trip_keeps_nan_rows(tmp_path):
     back = load_results(path)
     row = back.rows[0]
     assert math.isnan(row.product_error) and not row.converged
+    # the sidecar holds NaN medians for a cell with no converged trial, and loads
+    summary = back.summaries[0]
+    assert "NaN" in (tmp_path / "nan.csv.summary.json").read_text()
+    assert math.isnan(summary.median_product_error) and math.isnan(summary.median_sign_error)
+    assert summary.n_converged == 0
 
 
 def test_load_results_header_and_row_diagnostics(tmp_path):
@@ -541,16 +543,13 @@ def _configs(draw):
         x0 = X0Spec(mode, vector=tuple(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))))
     else:
         x0 = X0Spec(mode, R0=draw(st.floats(0, 10)),
-                    d=draw(st.integers(1, 8) if mode == "random_sparse" else st.none()))
+                    d=draw(st.integers(1, n) if mode == "random_sparse" else st.none()))
     noise = NoiseModel(draw(st.sampled_from(["none", "gaussian", "bounded_uniform"])),
                        draw(st.floats(0, 10)))
     sigma = st.just(0.0) if noise.kind == "none" else st.floats(0, 5)
-    step_rule = StepRule(draw(st.sampled_from(["backtracking", "fixed"])),
-                         step=draw(st.none() | _POSITIVE), shrink=draw(st.floats(0.01, 0.99)),
-                         growth=draw(st.floats(1.0, 3.0)))
     solver = SolverSpec(draw(st.sampled_from(["pgd", "oracle"])), SolverConfig(
         max_iterations=draw(st.integers(1, 10_000)), gradient_tolerance=draw(st.floats(0, 1)),
-        step_rule=step_rule, restarts=draw(st.integers(1, 16)),
+        restarts=draw(st.integers(1, 16)),
         oracle_budget=draw(st.integers(1, 10**6)),
     ))
     return ExperimentConfig(
@@ -564,7 +563,6 @@ def _configs(draw):
         trials_per_cell=draw(st.integers(1, 100)),
         solver=solver,
         master_seed=draw(st.integers(0, 2**63)),
-        success_sign_error=draw(st.floats(0, 1)),
     )
 
 
@@ -596,12 +594,9 @@ def test_config_partial_dict_takes_the_defaults():
         sigma_grid=(0.5,),
         trials_per_cell=1,
         solver=SolverSpec("pgd", SolverConfig(
-            max_iterations=300, gradient_tolerance=1e-8,
-            step_rule=StepRule("backtracking", step=None, shrink=0.5, growth=1.1),
-            restarts=8, oracle_budget=200_000,
+            max_iterations=300, gradient_tolerance=1e-8, restarts=8, oracle_budget=200_000,
         )),
         master_seed=0,
-        success_sign_error=1e-6,
     )
     assert config_from_dict(data) == spelled_out
 
@@ -640,12 +635,24 @@ def test_config_integer_fields_reject_truncation(section, key, value):
 
 
 @pytest.mark.parametrize("section, key, value, where, message", [
-    ((), "success_sign_error", True, "success_sign_error", "expected a number, got True"),
+    (("solver", "config"), "gradient_tolerance", True, "solver.config.gradient_tolerance",
+     "expected a number, got True"),
     (("noise",), "scale", False, "noise.scale", "expected a number, got False"),
     ((), "N_grid", [256.7, 512], "N_grid[0]", "expected an integer, got 256.7"),
     ((), "N_grid", [256, True], "N_grid[1]", "expected an integer, got True"),
     ((), "sigma_grid", [True], "sigma_grid[0]", "expected a number, got True"),
     ((), "N_grid", "512", "N_grid", "expected a JSON array, got str"),
+    # non-finite numbers, as json.load reads NaN and Infinity; the constructor refuses them
+    ((), "sigma_grid", [math.nan], "", "sigma_grid entries must be finite and >= 0"),
+    ((), "sigma_grid", [math.inf], "", "sigma_grid entries must be finite and >= 0"),
+    (("x0_spec",), "R0", math.nan, "x0_spec", "random_sparse needs a finite R0 >= 0, got nan"),
+    (("noise",), "scale", math.inf, "noise", "noise scale must be finite and >= 0, got inf"),
+    (("solver", "config"), "gradient_tolerance", math.nan, "solver.config",
+     "gradient_tolerance must be finite and >= 0"),
+    ((), "set", {"kind": "l1_ball", "n": 16, "radius": math.inf}, "set",
+     "l1_ball needs a finite radius > 0, got inf"),
+    ((), "x0_spec", {"mode": "explicit", "vector": [0.0] * 15 + [math.nan]}, "x0_spec",
+     "explicit x0 vector entries must be finite"),
 ])
 def test_config_float_and_grid_fields_are_checked(section, key, value, where, message):
     data = config_to_dict(_sparse_config())
@@ -653,7 +660,8 @@ def test_config_float_and_grid_fields_are_checked(section, key, value, where, me
     for name in section:
         target = target[name]
     target[key] = value
-    with pytest.raises(ConfigError, match=re.escape(f"config.{where}: {message}")):
+    path = f"config.{where}" if where else "config"  # a top-level constructor check: no field
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
         config_from_dict(data)
 
 
@@ -676,6 +684,10 @@ def test_config_unknown_field_is_named():
     data = config_to_dict(_sparse_config())
     data["solver"]["config"] = {"restart": 8}
     with pytest.raises(ConfigError, match=r"config\.solver\.config: unknown field 'restart'"):
+        config_from_dict(data)
+    # a config saved when the step rule was settable is refused the same way
+    data["solver"]["config"] = {"step_rule": {"kind": "backtracking", "step": None}}
+    with pytest.raises(ConfigError, match=r"config\.solver\.config: unknown field 'step_rule'"):
         config_from_dict(data)
 
 
