@@ -13,11 +13,9 @@ from .empirics import (
     REARRANGEMENT_RATIO_HIGH,
     REARRANGEMENT_RATIO_LOW,
     empirical_smallball_fraction,
-    norm_equivalence_check,
     norm_equivalence_violations,
     paley_zygmund_admitted,
     paley_zygmund_fraction,
-    product_process_sup,
     psi_alpha_norm,
     random_norm_triples,
     rearrangement_functional,
@@ -29,7 +27,6 @@ from .ensembles import (
     PhaseSample,
     draw_measurements,
     draw_noise,
-    estimate_isotropy_defect,
     estimate_smallball_kappa0,
     generate_sample,
     sub_seed,

@@ -158,25 +158,24 @@ def empirical_smallball_fraction(A, u, v, c1):
     return float(np.mean(np.abs((A @ u) * (A @ v)) >= thr))
 
 
-def product_process_sup(A, T1, T2):
-    """max over (t, s) in T1 x T2 of |(1/N) sum <a_i,t><a_i,s> - <t,s>|."""
-    A = np.asarray(A, dtype=float)
-    T1 = np.atleast_2d(np.asarray(T1, dtype=float))
-    T2 = np.atleast_2d(np.asarray(T2, dtype=float))
-    if A.ndim != 2 or T1.shape[1] != A.shape[1] or T2.shape[1] != A.shape[1]:
-        raise ValueError("A must be (N, n) with T1, T2 rows of length n")
-    Z1 = A @ T1.T
-    Z2 = A @ T2.T
-    empirical = (Z1.T @ Z2) / A.shape[0]
-    return float(np.abs(empirical - T1 @ T2.T).max())
-
-
 # ---------------------------------------------------------------------------
 # norm-product equivalence around a signal
 
 
 def _equivalence_implications(d_minus, d_plus, nx, nx0, R, c1, c2):
-    """Vectorized truth values of the two implications, per the two cases."""
+    """Vectorized truth values of the product/norm equivalence at scale R.
+
+    d_minus, d_plus are ||x - x0||, ||x + x0|| (their product is the product
+    error) and nx, nx0 are ||x||, ||x0||.
+    Large-signal case (||x0|| >= sqrt(R)/4):
+      forward:  ||x0|| * min{d_minus, d_plus} >= R  =>  product >= c1*R
+      backward: product >= R  =>  ||x0|| * min{...} >= c2*R
+    Small-signal case (||x0|| < sqrt(R)/4) the product behaves like ||x||^2:
+      forward:  product >= R   =>  ||x|| >= c1*sqrt(R)
+      backward: ||x|| >= sqrt(R)  =>  product >= c2*R
+
+    Returns (forward_holds, backward_holds, small_norm_case).
+    """
     prod = d_minus * d_plus
     mn = np.minimum(d_minus, d_plus)
     sqrt_r = np.sqrt(R)
@@ -188,34 +187,6 @@ def _equivalence_implications(d_minus, d_plus, nx, nx0, R, c1, c2):
     forward = np.where(small, fwd_small, fwd_large)
     backward = np.where(small, bwd_small, bwd_large)
     return forward, backward, small
-
-
-def norm_equivalence_check(x, x0, R, c1, c2):
-    """Check the product/norm equivalence at scale R for one pair (x, x0).
-
-    Large-signal case (||x0|| >= sqrt(R)/4):
-      forward:  ||x0|| * min{||x-x0||, ||x+x0||} >= R  =>  product >= c1*R
-      backward: product >= R  =>  ||x0|| * min{...} >= c2*R
-    Small-signal case (||x0|| < sqrt(R)/4) the product behaves like ||x||^2:
-      forward:  product >= R   =>  ||x|| >= c1*sqrt(R)
-      backward: ||x|| >= sqrt(R)  =>  product >= c2*R
-
-    Returns (forward_holds, backward_holds, small_norm_case).
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x.shape != x0.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {x0.shape}")
-    if not R > 0:
-        raise ValueError(f"R must be > 0, got {R}")
-    fwd, bwd, small = _equivalence_implications(
-        np.linalg.norm(x - x0),
-        np.linalg.norm(x + x0),
-        np.linalg.norm(x),
-        np.linalg.norm(x0),
-        float(R), c1, c2,
-    )
-    return bool(fwd), bool(bwd), bool(small)
 
 
 def random_norm_triples(count, seed, dim=3):

@@ -171,16 +171,3 @@ def estimate_smallball_kappa0(ensemble, pair_count, mc_samples, seed):
     est = np.abs((A @ S.T) * (A @ T.T)).mean(axis=0)
     worst = int(np.argmin(est))
     return float(est[worst]), (S[worst].copy(), T[worst].copy())
-
-
-def estimate_isotropy_defect(ensemble, directions, mc_samples, seed):
-    """Max over sampled unit directions t of |mean <a,t>^2 - 1|."""
-    if directions < 1 or mc_samples < 1:
-        raise ValueError("directions and mc_samples must be >= 1")
-    rng = substream(seed, 3)
-    n = ensemble.dimension
-    D = rng.standard_normal((directions, n))
-    D /= np.linalg.norm(D, axis=1, keepdims=True)
-    A = draw_measurements(ensemble, mc_samples, seed)
-    second_moment = ((A @ D.T) ** 2).mean(axis=0)
-    return float(np.abs(second_moment - 1.0).max())

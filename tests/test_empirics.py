@@ -14,11 +14,10 @@ from phaselab import (
     REARRANGEMENT_RATIO_HIGH,
     REARRANGEMENT_RATIO_LOW,
     empirical_smallball_fraction,
-    norm_equivalence_check,
+    empirics,
     norm_equivalence_violations,
     paley_zygmund_admitted,
     paley_zygmund_fraction,
-    product_process_sup,
     psi_alpha_norm,
     random_norm_triples,
     rearrangement_functional,
@@ -271,52 +270,21 @@ def test_smallball_validation():
 
 
 # ---------------------------------------------------------------------------
-# product process suprema
-
-
-def test_product_process_hand_cases():
-    A = np.array([[1.0, 0.0], [3.0, 0.0]])
-    e1, e2 = [1.0, 0.0], [0.0, 1.0]
-    assert product_process_sup(A, [e1], [e1]) == pytest.approx(4.0)
-    A = np.array([[1.0, 1.0], [1.0, -1.0]])
-    assert product_process_sup(A, [e1], [e2]) == pytest.approx(0.0)
-
-
-def test_product_process_symmetric_in_candidate_sets():
-    rng = np.random.default_rng(20)
-    A = rng.standard_normal((50, 4))
-    T1 = rng.standard_normal((6, 4))
-    T2 = rng.standard_normal((9, 4))
-    assert product_process_sup(A, T1, T2) == pytest.approx(
-        product_process_sup(A, T2, T1), abs=1e-12
-    )
-
-
-def test_product_process_scales_like_width_over_root_n():
-    rng = np.random.default_rng(21)
-    n, N = 20, 10_000
-    A = rng.standard_normal((N, n))
-    T = rng.standard_normal((50, n))
-    T /= np.linalg.norm(T, axis=1, keepdims=True)
-    sup = product_process_sup(A, T, T)
-    G = rng.standard_normal((2000, n))
-    width_hat = float(np.abs(G @ T.T).max(axis=1).mean())
-    assert sup <= 10.0 * width_hat / math.sqrt(N)
-
-
-def test_product_process_validation():
-    A = np.eye(3)
-    with pytest.raises(ValueError):
-        product_process_sup(A, [[1.0, 0.0]], [[1.0, 0.0, 0.0]])
-
-
-# ---------------------------------------------------------------------------
 # norm equivalence around a signal
 
 
+def _pair_implications(x, x0, R, c1, c2):
+    # the implications that norm_equivalence_violations counts, for one pair (x, x0)
+    x, x0 = np.asarray(x, dtype=float), np.asarray(x0, dtype=float)
+    fwd, bwd, small = empirics._equivalence_implications(
+        np.linalg.norm(x - x0), np.linalg.norm(x + x0), np.linalg.norm(x),
+        np.linalg.norm(x0), R, c1, c2)
+    return bool(fwd), bool(bwd), bool(small)
+
+
 def test_equivalence_vacuous_at_the_signal():
-    fwd, bwd, _ = norm_equivalence_check([1.0, 2.0], [1.0, 2.0], 4.0,
-                                         EQUIVALENCE_C1, EQUIVALENCE_C2)
+    fwd, bwd, _ = _pair_implications([1.0, 2.0], [1.0, 2.0], 4.0,
+                                     EQUIVALENCE_C1, EQUIVALENCE_C2)
     assert fwd and bwd
 
 
@@ -324,17 +292,17 @@ def test_equivalence_zero_signal_is_exact():
     rng = np.random.default_rng(22)
     for _ in range(100):
         x = rng.standard_normal(3) * float(rng.uniform(0.1, 3.0))
-        fwd, bwd, small = norm_equivalence_check(x, np.zeros(3), 1.0, 1.0, 1.0)
+        fwd, bwd, small = _pair_implications(x, np.zeros(3), 1.0, 1.0, 1.0)
         assert small
         assert fwd and bwd
 
 
 def test_equivalence_flags_small_signal_case():
-    _, _, small = norm_equivalence_check([1.0, 0.0], [0.2, 0.0], 1.0,
-                                         EQUIVALENCE_C1, EQUIVALENCE_C2)
+    _, _, small = _pair_implications([1.0, 0.0], [0.2, 0.0], 1.0,
+                                     EQUIVALENCE_C1, EQUIVALENCE_C2)
     assert small  # ||x0|| = 0.2 < sqrt(R)/4 = 0.25
-    _, _, small = norm_equivalence_check([1.0, 0.0], [0.3, 0.0], 1.0,
-                                         EQUIVALENCE_C1, EQUIVALENCE_C2)
+    _, _, small = _pair_implications([1.0, 0.0], [0.3, 0.0], 1.0,
+                                     EQUIVALENCE_C1, EQUIVALENCE_C2)
     assert not small
 
 
@@ -342,16 +310,9 @@ def test_equivalence_detects_violations_of_too_strong_constants():
     # ||x0||*min barely reaches R while the product is about 2R < 3R
     x0 = np.array([10.0, 0.0, 0.0])
     x = x0 + np.array([0.100001, 0.0, 0.0])
-    fwd, _, small = norm_equivalence_check(x, x0, 1.0, 3.0, EQUIVALENCE_C2)
+    fwd, _, small = _pair_implications(x, x0, 1.0, 3.0, EQUIVALENCE_C2)
     assert not small
     assert not fwd
-
-
-def test_equivalence_validation():
-    with pytest.raises(ValueError):
-        norm_equivalence_check([1.0], [1.0], 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        norm_equivalence_check([1.0, 0.0], [1.0], 1.0, 1.0, 1.0)
 
 
 def test_random_triples_reproducible():

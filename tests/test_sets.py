@@ -865,6 +865,129 @@ def test_fixed_point_packing_smoke():
     assert 0.0 <= a < math.inf
 
 
+def _bisection_reference(cond, r_start):
+    # a plain 60-step bisection, the search's reference: same bracket probes,
+    # then 60 midpoints; it reads only `holds` out of cond's (holds, t)
+    hi = float(r_start)
+    if cond(hi)[0]:
+        lo = hi * 2.0**-40
+        if cond(lo)[0]:
+            return 0.0
+    else:
+        for _ in range(80):
+            lo = hi
+            hi *= 2.0
+            if cond(hi)[0]:
+                break
+        else:
+            return math.inf
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if cond(mid)[0]:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+# acceptance criterion 6's (functional, level, N, n) combos
+_CRIT6_COMBOS = (
+    ("rN", 1.0, 64, 4096), ("rN", 1.0, 128, 2048), ("rN", 1.0, 256, 32),
+    ("sN", 1.0, 256, 4096), ("sN", 0.5, 1024, 1024), ("sN", 1.0, 4096, 8),
+    ("sN", 1.0, 16384, 16), ("vN", 1.0, 1024, 4096), ("vN", 2.0, 64, 64),
+    ("vN", 1.0, 4096, 4),
+)
+
+_REFERENCE_QUERIES = (
+    [(l1_ball(n, 1.0), FixedPointQuery(f, level, N, backend="monte_carlo"), McConfig(1024, 17))
+     for f, level, N, n in _CRIT6_COMBOS]
+    # the l2 width grid of the acceptance file's monotonicity-check test
+    + [(l2_ball(n, radius), FixedPointQuery(f, level, N, backend="monte_carlo"), McConfig(256, 3))
+       for n, radius in ((8, 1.0), (32, 2.0))
+       for f in ("r0", "r2", "rN", "sN", "vN")
+       for level, N in ((0.5, 64), (2.0, 1024))]
+    + [(cset, FixedPointQuery(f, 1.0, 256, shell_R0=R0, backend="monte_carlo"), _PACKING_MC)
+       for cset, R0s in ((l2_ball(4, 1.0), (0.9,)), (l1_ball(64, 1.0), (0.3, 0.5)))
+       for f in ("qN", "tN") for R0 in R0s]
+    + [(l1_ball(256, 1.0), FixedPointQuery(f, level, N, backend=backend), McConfig(draws=256, seed=3))
+       for f, level, N in (("r0", 0.2, 64), ("r2", 1.0, 512))
+       for backend in ("closed_form", "monte_carlo")]
+)
+
+
+def test_fixed_point_returns_the_bisection_double(monkeypatch):
+    # every query above lands on the very double that 60 halvings gave
+    found = [fixed_point(cset, query, mc) for cset, query, mc in _REFERENCE_QUERIES]
+    monkeypatch.setattr(sets, "_least_radius", _bisection_reference)
+    for (cset, query, mc), r in zip(_REFERENCE_QUERIES, found):
+        assert r == fixed_point(cset, query, mc), (cset, query)
+
+
+def _inequality(phi, p, scale, calls):
+    # the shape of fixed_point's condition: Phi(r) <= scale * r^p, and log of the ratio
+    def cond(r):
+        calls.append(r)
+        val, bound = phi(r), scale * r**p
+        ratio = val / bound if bound > 0 else math.inf
+        return val <= bound, math.log(ratio) if 0 < ratio < math.inf else math.nan
+
+    return cond
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(smooth=st.booleans(), p=st.integers(0, 3), e=st.floats(0.05, 3.0),
+       k=st.integers(-5, 5), u=st.floats(-8.0, 20.0), scale=st.floats(0.1, 10.0))
+def test_least_radius_finds_the_least_double(smooth, p, e, k, u, scale):
+    # Phi/r^p falls through `scale` at tau, smoothly (a power law) or by a step.
+    # r_start is a power of two: then 60 halvings reach adjacent doubles for every
+    # tau >= r_start * 2^-8; for other r_start they can end a double short near it
+    r_start = 2.0**k
+    tau = r_start * 2.0**u
+    if smooth:
+        phi = lambda r: scale * tau**e * r ** (p - e)
+    else:
+        phi = lambda r: scale * tau**p * (2.0 if r < tau else 1.0)
+    calls, reference_calls = [], []
+    r = sets._least_radius(_inequality(phi, p, scale, calls), r_start)
+    _bisection_reference(_inequality(phi, p, scale, reference_calls), r_start)
+    cond = _inequality(phi, p, scale, [])
+    assert cond(r)[0] and not cond(np.nextafter(r, 0.0))[0]
+    assert len(calls) <= len(reference_calls)
+    if smooth and u >= -7.0:
+        # below r_start * 2^-7 the halvings to adjacency use all 60 probes, so the
+        # search has none to spend on the secant; the upward doublings are the
+        # bisection's own
+        assert len(calls) - max(0, math.ceil(u)) <= 25
+
+
+_RATES_THEORY_L1 = (
+    ("rN", 1.0, 128, 2048), ("sN", 0.5, 1024, 1024), ("rN", 1.0, 256, 32),
+    ("sN", 1.0, 4096, 8), ("sN", 1.0, 16384, 16), ("vN", 2.0, 64, 64), ("vN", 1.0, 4096, 4),
+)
+
+
+@pytest.mark.parametrize("functional, level, N, n", _RATES_THEORY_L1)
+def test_fixed_point_width_queries_make_few_probes(monkeypatch, functional, level, N, n):
+    # perfbench rates_theory's seven l1 queries: the bisection evaluated the
+    # width 62 times on each
+    evaluations = []
+    cap_support = sets._cap_support
+
+    def counting(cset, G):
+        support = cap_support(cset, G)
+
+        def values(r):
+            evaluations.append(r)
+            return support(r)
+
+        return values
+
+    monkeypatch.setattr(sets, "_cap_support", counting)
+    q = FixedPointQuery(functional, level, N, backend="monte_carlo")
+    fixed_point(l1_ball(n, 1.0), q, McConfig(draws=256, seed=3))
+    assert 1 <= len(evaluations) <= 24
+
+
 # ---------------------------------------------------------------------------
 # packing counts
 
