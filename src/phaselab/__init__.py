@@ -63,6 +63,7 @@ from .harness import (
     fit_slope,
     load_config,
     load_results,
+    predict_rate,
     predict_rate_l1,
     predict_rate_sparse,
     run_experiment,

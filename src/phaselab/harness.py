@@ -20,7 +20,8 @@ import numpy as np
 from .ensembles import Ensemble, NoiseModel, generate_sample, sub_seed, substream
 from .erm import SolverConfig, TrialResult, solve_oracle, solve_pgd
 from .errors import BudgetExceededError, ConfigError, InsufficientDataError
-from .sets import ConstraintSet, l1_display, random_feasible, toward_shell
+from .sets import (ConstraintSet, FixedPointQuery, fixed_point, l1_ball, random_feasible,
+                   sparse_cap, toward_shell)
 
 @dataclass(frozen=True)
 class RatePrediction:
@@ -28,67 +29,62 @@ class RatePrediction:
 
     rate bounds the sign-resolved error min ||x_hat -+ x0||; product_rate
     bounds ||x_hat - x0|| * ||x_hat + x0||.  regime names the fixed point
-    that drives the bound; inputs echoes the query.
+    that drives the bound.
     """
 
     rate: float
     product_rate: float
     regime: str
-    inputs: dict
 
 
-def predict_rate_sparse(n, d, N, sigma, R0):
-    """Rates for d-sparse signals in R^n from N measurements at noise sigma."""
-    if not (1 <= d <= n):
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    if sigma < 0 or R0 < 0:
-        raise ValueError("sigma and R0 must be >= 0")
-    inputs = {"n": n, "d": d, "N": N, "sigma": sigma, "R0": R0}
-    base = d * math.log(math.e * n / d)
-    if sigma == 0.0:
-        rate = 0.0 if N >= base else math.inf
-        return RatePrediction(rate, rate, "noise_free_r0", inputs)
-    star = sigma * math.sqrt(base / N) * math.sqrt(math.log(N))
-    if R0 * R0 >= star:
-        rate = star / R0
-        inputs["sign_branch"] = "large_signal"
-    else:
-        rate = math.sqrt(star)
-        inputs["sign_branch"] = "small_signal"
-    return RatePrediction(rate, star, "high_noise_r2", inputs)
-
-
-def predict_rate_l1(n, N, sigma, R0):
-    """Rates for signals in the unit l1 ball, by the four-regime case split.
+def predict_rate(cset, N, sigma, R0):
+    """Rates for signals in `cset` from N measurements at noise sigma, by the
+    four-regime case split.
 
     Picks r_N* when sigma/R0 <= r_N*/sqrt(log N); otherwise s_N* when
-    R0 >= v_N* and v_N* below that, with each fixed point evaluated by its
-    dimension-dependent closed form (constants 1).
+    R0 >= v_N* and v_N* below that.  Each fixed point is `sets.fixed_point` on
+    the closed-form backend, so the set enters through its mean width alone
+    (constants 1); a set kind with no closed-form width raises
+    UnsupportedSetError.  On a cone r_N* is 0 or inf, as the width scales
+    with the radius: inf below the sample complexity N < w(1)^2 (d log(en/d)
+    for d-sparse vectors), where no radius meets the width inequality and
+    even noise-free data do not pin the signal down.  Noise only adds to that
+    error, so there the rate is inf at every sigma, in regime low_snr_rN.
     """
-    if n < 2 or N < 2:
-        raise ValueError(f"need n, N >= 2, got n={n}, N={N}")
-    if sigma < 0 or R0 < 0:
-        raise ValueError("sigma and R0 must be >= 0")
-    inputs = {"n": n, "N": N, "sigma": sigma, "R0": R0}
-    r_star = l1_display("rN", 1.0, N, n)
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
+    if not (0 <= sigma < math.inf and 0 <= R0 < math.inf):
+        raise ValueError(f"sigma and R0 must be finite and >= 0, got sigma={sigma}, R0={R0}")
+
+    def fp(functional, level):
+        return fixed_point(cset, FixedPointQuery(functional, level, N))
+
+    r_star = fp("rN", 1.0)
     if sigma == 0.0:
-        return RatePrediction(r_star, r_star * max(R0, r_star), "noise_free_r0", inputs)
+        return RatePrediction(r_star, r_star * max(R0, r_star), "noise_free_r0")
     log_n_obs = math.log(N)
     noise_ratio = sigma / R0 if R0 > 0 else math.inf
     if noise_ratio <= r_star / math.sqrt(log_n_obs):
-        return RatePrediction(r_star, r_star * max(R0, r_star), "low_snr_rN", inputs)
+        return RatePrediction(r_star, r_star * max(R0, r_star), "low_snr_rN")
     slog = sigma * math.sqrt(log_n_obs)
-    zeta = 1.0 / slog
-    v_star = l1_display("vN", zeta, N, n)
+    v_star = fp("vN", 1.0 / slog)
     if R0 >= v_star:
-        rate = l1_display("sN", R0 / slog, N, n)
-        regime = "large_signal_sN"
+        rate, regime = fp("sN", R0 / slog), "large_signal_sN"
     else:
-        rate = v_star
-        regime = "small_signal_vN"
-    return RatePrediction(rate, rate * max(R0, rate), regime, inputs)
+        rate, regime = v_star, "small_signal_vN"
+    return RatePrediction(rate, rate * max(R0, rate), regime)
+
+
+def predict_rate_sparse(n, d, N, sigma, R0):
+    """`predict_rate` for d-sparse signals in R^n."""
+    return predict_rate(sparse_cap(n, d), N, sigma, R0)
+
+
+def predict_rate_l1(n, N, sigma, R0):
+    """`predict_rate` for signals in the unit l1 ball of R^n, n >= 2."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
+    return predict_rate(l1_ball(n), N, sigma, R0)
 
 
 # ---------------------------------------------------------------------------

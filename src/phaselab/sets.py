@@ -459,7 +459,7 @@ def _least_radius(cond, r_start):
     return hi
 
 
-def l1_display(functional, level, N, n):
+def _l1_display(functional, level, N, n):
     """Fixed points of the unit-l1-ball width formulas (constants 1)."""
     if functional == "rN":
         a = level * level * N
@@ -482,7 +482,7 @@ def _fp_l1_closed(cset, query):
     # level rescaled by rho^(p-1)
     p = _EXPONENT[query.functional]
     rho = cset.radius
-    return rho * l1_display(query.functional, query.level * rho ** (p - 1), query.N, cset.n)
+    return rho * _l1_display(query.functional, query.level * rho ** (p - 1), query.N, cset.n)
 
 
 def _fp_homogeneous(cset, query, mc):

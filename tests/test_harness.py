@@ -21,6 +21,7 @@ from phaselab import (
     SolverConfig,
     SolverSpec,
     TrialRow,
+    UnsupportedSetError,
     X0Spec,
     ambient,
     config_from_dict,
@@ -31,6 +32,7 @@ from phaselab import (
     l2_ball,
     load_config,
     load_results,
+    predict_rate,
     predict_rate_l1,
     predict_rate_sparse,
     run_experiment,
@@ -59,8 +61,7 @@ def test_sparse_rate_worked_example():
     star = math.sqrt(16.0 * math.log(math.e * 64.0) / 4096.0) * math.sqrt(math.log(4096.0))
     assert abs(pred.product_rate - star) <= 1e-12
     assert abs(pred.product_rate - 0.4096) <= 5e-4  # quoted two-decimal arithmetic
-    assert pred.regime == "high_noise_r2"
-    assert pred.inputs["sign_branch"] == "large_signal"
+    assert pred.regime == "large_signal_sN"
     assert pred.rate == pytest.approx(star / 1.0)
 
 
@@ -69,7 +70,7 @@ def test_sparse_rate_small_signal_branch():
     star = pred.product_rate
     assert 0.1**2 < star
     assert pred.rate == pytest.approx(math.sqrt(star))
-    assert pred.inputs["sign_branch"] == "small_signal"
+    assert pred.regime == "small_signal_vN"
 
 
 def test_sparse_rate_linear_in_sigma():
@@ -191,6 +192,115 @@ def test_l1_rate_validation():
         predict_rate_l1(64, 1, 0.1, 1.0)
     with pytest.raises(ValueError):
         predict_rate_l1(64, 100, 0.1, -1.0)
+
+
+@pytest.mark.parametrize("sigma, R0", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                       (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)])
+def test_rates_refuse_non_finite_sigma_and_R0(sigma, R0):
+    with pytest.raises(ValueError, match="finite"):
+        predict_rate_sparse(64, 4, 4096, sigma, R0)
+    with pytest.raises(ValueError, match="finite"):
+        predict_rate_l1(64, 4096, sigma, R0)
+    with pytest.raises(ValueError, match="finite"):
+        predict_rate(l1_ball(64), 4096, sigma, R0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_sparse_rate_is_inf_below_the_sample_complexity(sigma):
+    # N = 10 < 4 log(16e) ~ 15.1: noise cannot make a finite rate out of an infinite r_N*
+    pred = predict_rate_sparse(64, 4, 10, sigma, 1.0)
+    assert pred.rate == math.inf and pred.product_rate == math.inf
+
+
+def test_rate_needs_a_closed_form_width():
+    with pytest.raises(UnsupportedSetError):
+        predict_rate(l2_ball(16), 256, 0.5, 1.0)
+
+
+# The two predictors as they were written before `predict_rate` replaced them,
+# l1's closed-form fixed points included.
+
+
+def _reference_l1_display(functional, level, N, n):
+    if functional == "rN":
+        a = level * level * N
+        if n <= a:
+            return 0.0
+        return math.sqrt(math.log(n / a) / a)
+    if functional == "sN":
+        b = level * level * N
+        if n >= level * math.sqrt(N):
+            return (math.log(n * n / b) / b) ** 0.25
+        return math.sqrt(n / b)
+    c = level * level * N
+    if n >= level ** (2.0 / 3.0) * N ** (1.0 / 3.0):
+        return (math.log(n**3 / c) / c) ** (1.0 / 6.0)
+    return (n / c) ** 0.25
+
+
+def _reference_l1(n, N, sigma, R0):
+    r_star = _reference_l1_display("rN", 1.0, N, n)
+    if sigma == 0.0:
+        return r_star, r_star * max(R0, r_star), "noise_free_r0"
+    log_n_obs = math.log(N)
+    noise_ratio = sigma / R0 if R0 > 0 else math.inf
+    if noise_ratio <= r_star / math.sqrt(log_n_obs):
+        return r_star, r_star * max(R0, r_star), "low_snr_rN"
+    slog = sigma * math.sqrt(log_n_obs)
+    zeta = 1.0 / slog
+    v_star = _reference_l1_display("vN", zeta, N, n)
+    if R0 >= v_star:
+        rate = _reference_l1_display("sN", R0 / slog, N, n)
+        regime = "large_signal_sN"
+    else:
+        rate = v_star
+        regime = "small_signal_vN"
+    return rate, rate * max(R0, rate), regime
+
+
+def _reference_sparse(n, d, N, sigma, R0):
+    """The old sparse predictor; its sign branch is returned as the regime that
+    names it now."""
+    base = d * math.log(math.e * n / d)
+    if sigma == 0.0:
+        rate = 0.0 if N >= base else math.inf
+        return rate, rate, "noise_free_r0"
+    star = sigma * math.sqrt(base / N) * math.sqrt(math.log(N))
+    if R0 * R0 >= star:
+        return star / R0, star, "large_signal_sN"
+    return math.sqrt(star), star, "small_signal_vN"
+
+
+_SIGMAS = (0.0, 0.01, 0.1, 0.5, 1.0, 2.0)
+_R0S = (0.0, 0.05, 0.3, 0.5, 1.0, 2.0)
+
+
+def test_l1_rate_is_bit_identical_to_the_old_predictor():
+    grid = [(n, N, s, r) for n in (2, 8, 32, 64, 256, 1024, 4096)
+            for N in (2, 10, 64, 256, 1024, 4096, 16384) for s in _SIGMAS for r in _R0S]
+    assert (64, 4096, 0.5, 1.0) in grid  # crit 9's upper rate
+    regimes = set()
+    for args in grid:
+        pred = predict_rate_l1(*args)
+        assert (pred.rate, pred.product_rate, pred.regime) == _reference_l1(*args), args
+        regimes.add(pred.regime)
+    assert regimes == {"noise_free_r0", "low_snr_rN", "large_signal_sN", "small_signal_vN"}
+
+
+def test_sparse_rate_matches_the_old_predictor_above_the_sample_complexity():
+    grid = [(n, d, N, s, r) for n, d in ((16, 1), (64, 4), (256, 8), (1024, 16), (4096, 64))
+            for N in (16, 64, 512, 4096, 16384) for s in _SIGMAS for r in _R0S
+            if N >= d * math.log(math.e * n / d)]
+    assert len(grid) > 500
+    regimes = set()
+    for args in grid:
+        pred = predict_rate_sparse(*args)
+        rate, product_rate, regime = _reference_sparse(*args)
+        assert pred.regime == regime, args
+        assert abs(pred.rate - rate) <= 1e-15 * rate, args
+        assert abs(pred.product_rate - product_rate) <= 1e-15 * product_rate, args
+        regimes.add(pred.regime)
+    assert regimes == {"noise_free_r0", "large_signal_sN", "small_signal_vN"}
 
 
 # ---------------------------------------------------------------------------
