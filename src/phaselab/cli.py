@@ -1,7 +1,7 @@
 """Command-line front end: simulations, widths, fixed points, packings, checks.
 
-Exit codes: 0 on success, 2 on a validation problem (bad flags, bad config,
-unsupported combination, exceeded budget), 3 when a `check` suite fails.
+Exit codes: 0 on success (a `simulate` trial over `oracle_budget` is a NaN row), 2 on a
+validation problem (bad flags, bad config, unsupported combination), 3 when a `check` fails.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import substream
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, UnsupportedSetError
 from .sets import project, random_feasible
 
 _TINY = 1e-300
@@ -459,21 +459,32 @@ def _oracle_candidates(supports, screen, d, iu):
         yield int(row), None
 
 
-def _solve_support(A, y, supp, x_init, max_iter):
+def _solve_support(A, y, M, supp, x_init, max_iter):
     """Descent of the loss restricted to columns `supp`: (x, objective, iterations).
 
-    Starts from x_init, or from the spectral start of the restricted problem when
-    it is None, with base step 0.1 / ||x_init||^2 (1.0 at a zero start).
+    Starts from x_init, or if it is None from the top eigenpair of M[S, S], S = supp, with
+    M the spectral matrix of (A, y); base step 0.1 / ||x_init||^2 (1.0 at a zero start).
     """
     As = A[:, supp]
     if x_init is None:
-        x_init = _spectral_start(*_leading_eig(_spectral_matrix(As, y)))
+        x_init = _spectral_start(*_leading_eig(M[np.ix_(supp, supp)]))
     scale = float(x_init @ x_init)
     X, f, iters, _ = _descend(As, y, x_init, 0.1 / scale if scale > 0 else 1.0, max_iter, 1e-12)
     return X[0], float(f[0]), int(iters[0])
 
 
-def _oracle_sparse(sample, cset, config):
+def solve_oracle(sample, cset, config, seed):
+    """Ground-truth ERM at desk scale on sparse_cap: exhaustive minimization over all
+    supports, within oracle_budget.  Other set kinds, where it could certify nothing,
+    raise UnsupportedSetError.
+
+    Each support is solved by the descent kernel alone, from its Gram or spectral start,
+    for up to max_iterations steps; `converged` is always True.  `seed` is not read.
+    """
+    if cset.kind != "sparse_cap":
+        raise UnsupportedSetError(f"the oracle solves sparse_cap only, not {cset.kind}")
+    if sample.n != cset.n:
+        raise ValueError(f"sample dimension {sample.n} != set dimension {cset.n}")
     n, d = cset.n, cset.d
     total = math.comb(n, d)
     if total > config.oracle_budget:
@@ -482,12 +493,12 @@ def _oracle_sparse(sample, cset, config):
             f"oracle_budget={config.oracle_budget} is too small"
         )
     A, y, N = sample.A, sample.y, sample.N
+    M = _spectral_matrix(A, y)
     # score coordinates by the diagonal of the spectral matrix so promising
     # supports are screened first; any support reaching objective ~ 0 is a
     # certified global minimizer (the objective is nonnegative), which lets
     # noise-free runs stop early without giving up exhaustiveness
-    scores = (y[:, None] * (A * A)).mean(axis=0)
-    order = np.argsort(-scores, kind="stable").astype(np.int32)
+    order = np.argsort(-np.diag(M), kind="stable").astype(np.int32)
     zero_tol = 1e-16 * max(1.0, float(np.mean(y * y)))
     supports = order[_support_index_array(n, d)]
 
@@ -496,7 +507,7 @@ def _oracle_sparse(sample, cset, config):
     screen = _make_gram_screen(A[:m], y[:m], n, iu)
     best_f, best_x, best_row, total_iters = math.inf, np.zeros(d), 0, 0
     for row, x_init in _oracle_candidates(supports, screen, d, iu):
-        x, fx, its = _solve_support(A, y, supports[row], x_init, config.max_iterations)
+        x, fx, its = _solve_support(A, y, M, supports[row], x_init, config.max_iterations)
         total_iters += its
         if fx < best_f:
             best_f, best_x, best_row = fx, x, row
@@ -507,20 +518,3 @@ def _oracle_sparse(sample, cset, config):
     x_hat[supports[best_row]] = best_x
     prod, sign, _ = error_metrics(x_hat, sample.x0)
     return TrialResult(x_hat, best_f, prod, sign, total_iters, True)
-
-
-def solve_oracle(sample, cset, config, seed):
-    """Ground-truth ERM at desk scale.
-
-    sparse_cap: exhaustive minimization over all supports (within
-    oracle_budget); each support is solved by the descent kernel alone, from
-    its Gram or spectral start, for up to max_iterations steps, and
-    `converged` is always True.  Other kinds: projected descent with at least
-    32 restarts.
-    """
-    if sample.n != cset.n:
-        raise ValueError(f"sample dimension {sample.n} != set dimension {cset.n}")
-    if cset.kind == "sparse_cap":
-        return _oracle_sparse(sample, cset, config)
-    cfg = replace(config, restarts=max(config.restarts, 32))
-    return solve_pgd(sample, cset, cfg, seed)

@@ -163,6 +163,8 @@ class ExperimentConfig:
         if self.x0_spec.mode == "random_sparse" and self.x0_spec.d > self.constraint_set.n:
             raise ValueError(f"random_sparse d={self.x0_spec.d} exceeds dimension "
                              f"{self.constraint_set.n}")
+        if self.solver.kind == "oracle" and self.constraint_set.kind != "sparse_cap":
+            raise ConfigError(f"the oracle solves sparse_cap only, not {self.constraint_set.kind}")
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,7 @@ def _draw_x0(config, cell_index, trial):
 def _run_task(args):
     config, N, sigma, cell_index, trial = args
     x0 = _draw_x0(config, cell_index, trial)
-    noise = NoiseModel("none") if sigma == 0.0 else NoiseModel(config.noise.kind, sigma)
+    noise = NoiseModel(config.noise.kind, sigma)
     sample_seed = sub_seed(config.master_seed, cell_index, trial, 1)
     solver_seed = sub_seed(config.master_seed, cell_index, trial, 2)
     sample = generate_sample(x0, config.ensemble, noise, N, sample_seed)

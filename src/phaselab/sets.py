@@ -554,11 +554,11 @@ def toward_shell(cset, X, R0):
     # by a power of two, exactly, so that no norm below underflows or overflows
     X = np.ldexp(X, -np.frexp(np.abs(X).max(axis=1, initial=0.0))[1][:, None])
     if cset.kind == "sparse_cap":
-        T = _project_batch(cset, X)
+        T = project(cset, X)
     elif cset.kind != "l1_ball":
         T = X
     elif R0 >= cset.radius:
-        T = _project_batch(sparse_cap(cset.n, 1), X)
+        T = project(sparse_cap(cset.n, 1), X)
     else:
         A = np.abs(X)
         q = (cset.radius / R0) ** 2
@@ -717,5 +717,5 @@ def _sample_candidates(cset, center, ball_radius, shell_R0, count, seed):
     if shell_R0 is not None and shell_R0 > 0:
         X = toward_shell(cset, X, shell_R0)
     else:
-        X = _project_batch(cset, X)
+        X = project(cset, X)
     return np.vstack([center[None, :], X])

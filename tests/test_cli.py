@@ -203,6 +203,16 @@ def test_simulate_config_non_finite_number(capsys, tmp_path, config_path):
     assert "sigma_grid" in err and "finite" in err
 
 
+def test_simulate_oracle_on_a_non_sparse_set_is_refused(capsys, tmp_path, config_path):
+    data = json.loads(config_path.read_text())
+    data["set"] = {"kind": "l2_ball", "n": 12, "radius": 1.0}
+    bad = tmp_path / "oracle_l2.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "simulate", str(bad))
+    assert code == 2 and out == ""
+    assert "sparse_cap" in err and "l2_ball" in err
+
+
 # ---------------------------------------------------------------------------
 # check suites
 

@@ -15,6 +15,7 @@ from phaselab import (
     NoiseModel,
     PhaseSample,
     SolverConfig,
+    UnsupportedSetError,
     ambient,
     contains,
     erm,
@@ -522,11 +523,12 @@ def test_oracle_noise_free_recovery_through_the_per_block_screen():
     assert res.sign_error <= 1e-6
 
 
-def test_oracle_dense_set_falls_back_to_restarts():
-    x0 = np.array([0.8, -0.6])
-    s = generate_sample(x0, GAUSS(2), QUIET, 100, seed=55)
-    res = solve_oracle(s, ambient(2), SolverConfig(restarts=2), seed=5)
-    assert res.sign_error <= 1e-6
+@pytest.mark.parametrize("cset", [l1_ball(2), l2_ball(2), ambient(2)], ids=lambda c: c.kind)
+def test_oracle_refuses_non_sparse_sets(cset):
+    # the oracle certifies the ERM by enumerating supports; other sets have none to enumerate
+    s = generate_sample(np.array([0.8, -0.6]), GAUSS(2), QUIET, 100, seed=55)
+    with pytest.raises(UnsupportedSetError, match="sparse_cap"):
+        solve_oracle(s, cset, SolverConfig(restarts=2), seed=5)
 
 
 # ---------------------------------------------------------------------------

@@ -362,11 +362,15 @@ def test_x0_spec_validation():
                             ensemble=Ensemble("standard_gaussian", 4),
                             x0_spec=X0Spec(mode="random_sparse", R0=1.0, d=5)), ValueError,
      "random_sparse d=5 exceeds dimension 4"),
-], ids=["N_grid-float", "N_grid-bool", "sigma_grid-bool", "vector-bool", "random_sparse-d-above-n"])
+    (lambda: _sparse_config(constraint_set=l2_ball(16)), ConfigError,
+     "the oracle solves sparse_cap only, not l2_ball"),
+], ids=["N_grid-float", "N_grid-bool", "sigma_grid-bool", "vector-bool", "random_sparse-d-above-n",
+        "oracle-on-l2_ball"])
 def test_constructor_checks_grid_entries_as_the_codec_does(build, error, message):
     # built in Python, the grids and the explicit x0 are read with the codec's
     # entry-by-entry checks, not truncated with int() / float(); a random_sparse
-    # support larger than the set's dimension is refused before any trial runs
+    # support larger than the set's dimension, and an oracle on a set it cannot
+    # enumerate, are refused before any trial runs
     with pytest.raises(error, match=re.escape(message)):
         build()
 
@@ -473,6 +477,7 @@ def test_random_on_shell_draw_rejects_an_unreachable_shell(cset):
         ensemble=Ensemble("standard_gaussian", 6),
         x0_spec=X0Spec(mode="random_on_shell", R0=1.5),
         N_grid=(20,),
+        solver=SolverSpec(kind="pgd"),
     )
     with pytest.raises(ValueError, match="could not place x0 on the shell"):
         run_experiment(config)
@@ -657,7 +662,8 @@ def _configs(draw):
     noise = NoiseModel(draw(st.sampled_from(["none", "gaussian", "bounded_uniform"])),
                        draw(st.floats(0, 10)))
     sigma = st.just(0.0) if noise.kind == "none" else st.floats(0, 5)
-    solver = SolverSpec(draw(st.sampled_from(["pgd", "oracle"])), SolverConfig(
+    kinds = ["pgd", "oracle"] if set_kind == "sparse_cap" else ["pgd"]  # the oracle enumerates supports
+    solver = SolverSpec(draw(st.sampled_from(kinds)), SolverConfig(
         max_iterations=draw(st.integers(1, 10_000)), gradient_tolerance=draw(st.floats(0, 1)),
         restarts=draw(st.integers(1, 16)),
         oracle_budget=draw(st.integers(1, 10**6)),

@@ -1,6 +1,6 @@
-"""Package layout: no private cross-module imports, no dead module-level names, generators
-made only in `ensembles` and never seeded with a literal; config fields the JSON codec can
-read."""
+"""Package layout: no private cross-module imports, no unread imports, no dead module-level
+names, generators made only in `ensembles` and never seeded with a literal; config fields the
+JSON codec can read."""
 
 import ast
 import collections
@@ -85,6 +85,28 @@ def test_public_module_names_are_exported_or_read():
     # a public name that `phaselab` does not export and nothing in the package reads is dead
     dead = _unread_definitions(private=False)
     assert not dead, f"public names neither exported nor read in the package: {dead}"
+
+
+def _unread_imports(path):
+    """Names that an import statement in `path` binds and nothing in `path` reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"line {lineno}: {name}" for name, lineno in bound.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    # an import left behind when its last reader goes; `__init__` imports to export
+    found = _unread_imports(path)
+    assert not found, f"{path.name} imports names it never reads: {found}"
 
 
 def _calls(path, names):
