@@ -7,6 +7,7 @@ validation problem (bad flags, bad config, unsupported combination), 3 when a `c
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import empirics, sets
 from .ensembles import substream
-from .errors import BudgetExceededError, ConfigError, InsufficientDataError, UnsupportedSetError
+from .errors import ConfigError, InsufficientDataError, UnsupportedSetError
 from .harness import export_results, load_config, run_experiment
 
 _SET_HELP = "e.g. sparse_cap:64:4, l1_ball:64:1.0, l2_ball:8:2.0, ambient:8"
@@ -161,7 +162,9 @@ def _cmd_check(args):
     return 3 if bad else 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="phaselab",
         description="Phase-retrieval ERM laboratory: simulations, widths, fixed points.",
@@ -221,7 +224,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, ConfigError, UnsupportedSetError, InsufficientDataError,
-            BudgetExceededError, FileNotFoundError) as exc:
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

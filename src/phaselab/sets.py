@@ -595,12 +595,15 @@ def _packing_phi(cset, R0, mc):
     centers = X[np.abs(np.linalg.norm(X, axis=1) - R0) <= 0.01 * R0][: mc.centers]
     if centers.shape[0] == 0:
         raise ValueError(f"no shell points found at R0={R0} for kind {cset.kind!r}")
-    seeds = [sub_seed(mc.seed, 11, ci) for ci in range(centers.shape[0])]
+    # each centre's candidates are drawn once and placed again at every probe
+    draws = [_candidate_draws(cset.n, mc.candidates, sub_seed(mc.seed, 11, ci))
+             for ci in range(centers.shape[0])]
 
     def phi(r):
-        counts = [packing_count(cset, c, _C0_PACKING * r, r,
-                                shell_R0=R0, candidates=mc.candidates, seed=s)
-                  for c, s in zip(centers, seeds)]
+        ball = _C0_PACKING * r
+        counts = [packing_count(cset, c, ball, r, shell_R0=R0,
+                                candidate_points=_place_candidates(cset, c, D, ball * w, R0))
+                  for c, (D, w) in zip(centers, draws)]
         return r * math.sqrt(math.log(max([1, *counts])))
 
     return phi
@@ -682,7 +685,8 @@ def packing_count(cset, center, ball_radius, separation, shell_R0=None,
         raise ValueError(f"shell_R0 must be >= 0, got {shell_R0}")
 
     if candidate_points is None:
-        pts = _sample_candidates(cset, center, ball_radius, shell_R0, candidates, seed)
+        D, w = _candidate_draws(cset.n, candidates, seed)
+        pts = _place_candidates(cset, center, D, ball_radius * w, shell_R0)
     else:
         pts = np.atleast_2d(np.asarray(candidate_points, dtype=float))
         if pts.shape[1] != cset.n:
@@ -707,12 +711,17 @@ def packing_count(cset, center, ball_radius, separation, shell_R0=None,
     return count
 
 
-def _sample_candidates(cset, center, ball_radius, shell_R0, count, seed):
+def _candidate_draws(n, count, seed):
+    """Unit directions D and radius fractions u^(1/n) of `count` uniform points of
+    the unit n-ball, as rows: row i is D[i] * w[i]."""
     rng = substream(seed)
-    n = cset.n
     D = rng.standard_normal((count, n))
     D /= np.linalg.norm(D, axis=1, keepdims=True)
-    radii = ball_radius * rng.uniform(size=count) ** (1.0 / n)
+    return D, rng.uniform(size=count) ** (1.0 / n)
+
+
+def _place_candidates(cset, center, D, radii, shell_R0):
+    """The centre, then center + D[i] * radii[i] mapped toward the shell (or onto the set)."""
     X = center[None, :] + D * radii[:, None]
     if shell_R0 is not None and shell_R0 > 0:
         X = toward_shell(cset, X, shell_R0)

@@ -213,6 +213,21 @@ def test_simulate_oracle_on_a_non_sparse_set_is_refused(capsys, tmp_path, config
     assert "sparse_cap" in err and "l2_ball" in err
 
 
+def test_simulate_oracle_over_budget_writes_nan_rows(capsys, tmp_path, config_path):
+    # C(12, 2) = 66 supports exceed a budget of 10: each trial is a NaN row, exit 0
+    data = json.loads(config_path.read_text())
+    data["solver"]["config"] = {"oracle_budget": 10}
+    small = tmp_path / "budget.json"
+    small.write_text(json.dumps(data))
+    out_path = tmp_path / "rows.csv"
+    code, out, _ = _run(capsys, "simulate", str(small), "--out", str(out_path))
+    assert code == 0
+    assert "converged=0" in out
+    rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(math.isnan(float(row[4])) for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # check suites
 
@@ -246,3 +261,19 @@ def test_check_unknown_suite_is_a_usage_error(capsys):
 def test_parser_requires_a_command():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_cached_parser_keeps_nothing_between_calls(capsys):
+    # each second command prints what it prints on a freshly built parser,
+    # whatever ran before it in the process
+    query = ("fixed-point", "--set", "l1_ball:32", "--functional", "sN", "--level", "1",
+             "--N", "256", "--backend", "monte_carlo", "--draws", "64")
+    pairs = [((*query, "--seed", "5"), query),
+             (("check", "psi", "--samples", "2000"), ("check", "all", "--samples", "2000"))]
+    for first, second in pairs:
+        cli.build_parser.cache_clear()
+        alone = _run(capsys, *second)
+        cli.build_parser.cache_clear()
+        _run(capsys, *first)
+        assert _run(capsys, *second) == alone
+    assert cli.build_parser() is cli.build_parser()

@@ -5,7 +5,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from phaselab import (
     EQUIVALENCE_C1,
@@ -23,6 +23,7 @@ from phaselab import (
     rearrangement_functional,
     rearrangement_ratio_range,
 )
+from phaselab.ensembles import substream
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +230,36 @@ def test_pz_frozen_floors_hold_for_powered_gaussians():
         assert admitted >= 50  # the generator mostly stays under beta
 
 
+@pytest.mark.parametrize("seed", [779, 3, 11])
+def test_one_pass_admission_matches_the_newton_ratio(seed):
+    # paley_zygmund_admitted's draws one 1024-vector at a time, each admitted by
+    # its Newton psi_1/L1 ratio, as before the admission became one exp pass
+    rng = substream(seed)
+    expected = {}
+    for beta, (eta, _) in sorted(PZ_LEVELS.items()):
+        admitted, least = 0, math.inf
+        for _ in range(100):
+            v = np.abs(rng.standard_normal(1024)) ** {2.0: 1, 4.0: 2, 8.0: 3}[beta]
+            frac, ratio = paley_zygmund_fraction(v, eta)
+            assert empirics._psi1_at_most(v[None, :], np.array([beta * v.mean()]))[0] == (ratio <= beta)
+            if ratio <= beta:
+                admitted, least = admitted + 1, min(least, frac)
+        expected[beta] = (admitted, least)
+    assert paley_zygmund_admitted(100, seed) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inputs=_stress_vectors(), beta=st.sampled_from([2.0, 4.0, 8.0]))
+def test_one_pass_admission_matches_the_newton_ratio_on_stress_vectors(inputs, beta):
+    v = np.abs(inputs[0])
+    # the rule's edge: just above the Newton norm a row is admitted, just below it is not
+    c = psi_alpha_norm(v, 1.0) * np.array([1.0 + 1e-9, 1.0 - 1e-9])
+    assert empirics._psi1_at_most(np.array([v, v]), c).tolist() == [True, False]
+    _, ratio = paley_zygmund_fraction(v, 0.5)
+    assume(abs(ratio - beta) > 1e-9 * beta)  # a near-tie may round either way
+    assert empirics._psi1_at_most(v[None, :], np.array([beta * v.mean()]))[0] == (ratio <= beta)
+
+
 # ---------------------------------------------------------------------------
 # empirical small-ball fractions
 
@@ -335,3 +366,42 @@ def test_pushy_constants_do_find_counterexamples():
     assert bad_fwd > 0
     _, bad_bwd = norm_equivalence_violations(100_000, EQUIVALENCE_C1, 0.30, seed=2)
     assert bad_bwd > 0
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_row_norms_are_numpys_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    X = rng.standard_normal((4000, width)) * np.exp(rng.uniform(-40.0, 40.0, (4000, 1)))
+    X[0] = 0.0
+    X[1] = -0.0
+    X[2] = 5e-324                                   # the least subnormal
+    X[3] = rng.standard_normal(width) * 1e-310      # subnormal entries
+    X[4, 0] = 2.5e-308                              # one subnormal square
+    np.testing.assert_array_equal(empirics._row_norms(X), np.linalg.norm(X, axis=1))
+
+
+def _triples_by_linalg_norm(count, seed, dim=3):
+    # random_norm_triples with the np.linalg.norm row norms it had before
+    rng = substream(seed)
+    R = np.exp(rng.uniform(math.log(0.25), math.log(4.0), count))
+    sqrt_r = np.sqrt(R)
+    t0 = 0.25 * sqrt_r * np.exp(rng.uniform(-3.0, 3.0, count))
+    X0 = rng.standard_normal((count, dim))
+    X0 *= (t0 / np.linalg.norm(X0, axis=1))[:, None]
+    X = rng.standard_normal((count, dim))
+    X *= (sqrt_r * np.exp(rng.uniform(-1.5, 1.5, count)) / np.linalg.norm(X, axis=1))[:, None]
+    mode = rng.integers(0, 3, count)
+    near = X0 * rng.choice([-1.0, 1.0], count)[:, None] + rng.standard_normal((count, dim)) * (
+        sqrt_r * np.exp(rng.uniform(-4.0, 0.5, count))
+    )[:, None] / math.sqrt(dim)
+    X = np.where((mode == 1)[:, None], near, X)
+    boundary = X * (sqrt_r * np.exp(rng.uniform(-0.2, 0.2, count)) /
+                    np.maximum(np.linalg.norm(X, axis=1), 1e-300))[:, None]
+    X = np.where((mode == 2)[:, None], boundary, X)
+    return X, X0, R
+
+
+@pytest.mark.parametrize("seed", [2, 777])
+def test_random_triples_match_the_linalg_norm_generator(seed):
+    for new, old in zip(random_norm_triples(100_000, seed), _triples_by_linalg_norm(100_000, seed)):
+        np.testing.assert_array_equal(new, old)

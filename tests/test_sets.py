@@ -795,6 +795,28 @@ def test_fixed_point_bisection_values_pinned(cset, query, mc, expected, rtol):
     assert abs(fixed_point(cset, query, mc) - expected) <= rtol * expected
 
 
+def test_packing_query_draws_each_centres_candidates_once(monkeypatch):
+    # l1-tN-0.3 above probes 56 radii; each centre's candidates are drawn once
+    # for the query and placed again at every probe
+    draws, separations = [], []
+    draw, count = sets._candidate_draws, sets.packing_count
+
+    def counting_draw(*args):
+        draws.append(args)
+        return draw(*args)
+
+    def counting_count(*args, **kwargs):
+        separations.append(args[3])
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(sets, "_candidate_draws", counting_draw)
+    monkeypatch.setattr(sets, "packing_count", counting_count)
+    q = FixedPointQuery("tN", 1.0, 256, shell_R0=0.3, backend="monte_carlo")
+    assert fixed_point(l1_ball(64, 1.0), q, _PACKING_MC) == 0.35214875334355183
+    assert len(draws) == _PACKING_MC.centers
+    assert len(separations) == 56 * _PACKING_MC.centers
+
+
 def test_fixed_point_warns_when_phi_ratio_jumps(monkeypatch):
     # a packing count that jumps as r grows makes Phi(r)/r^2 increase; the
     # driver looks packing_count up at call time, so the fake is what it probes
