@@ -175,8 +175,7 @@ def build_parser():
     p.add_argument("config")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default $PHASELAB_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("width", help="gaussian mean width of a localized set")

@@ -265,10 +265,8 @@ def summarize(rows):
     return out
 
 
-def run_experiment(config, threads=None):
+def run_experiment(config, threads=1):
     """Run the full grid; deterministic in master_seed for any thread count."""
-    if threads is None:
-        threads = int(os.environ.get("PHASELAB_THREADS", "1"))
     cells = [(N, sigma) for N in config.N_grid for sigma in config.sigma_grid]
     tasks = [
         (config, N, sigma, ci, t)
@@ -338,7 +336,8 @@ def export_results(table, path):
         for r in table.rows:
             writer.writerow([_csv_text(_CSV_TYPES[name], getattr(r, name)) for name in _CSV_HEADER])
     with open(path + ".summary.json", "w") as fh:
-        json.dump(_to_plain(table.summaries), fh, indent=1)
+        json.dump([dataclasses.asdict(s, dict_factory=_json_object) for s in table.summaries],
+                  fh, indent=1)
 
 
 def load_results(path):
@@ -374,14 +373,9 @@ def load_results(path):
 _JSON_NAMES = {"constraint_set": "set"}
 
 
-def _to_plain(obj):
-    """JSON values for a dataclass, field by field: tuples become lists."""
-    if dataclasses.is_dataclass(obj):
-        return {_JSON_NAMES.get(f.name, f.name): _to_plain(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, tuple):
-        return [_to_plain(v) for v in obj]
-    return obj
+def _json_object(fields):
+    """The dict_factory of `dataclasses.asdict`: (field name, value) pairs under their JSON keys."""
+    return {_JSON_NAMES.get(name, name): value for name, value in fields}
 
 
 def _from_plain(cls, data, where):
@@ -441,7 +435,7 @@ def _read_json(path):
 
 
 def config_to_dict(config):
-    return _to_plain(config)
+    return dataclasses.asdict(config, dict_factory=_json_object)
 
 
 def save_config(config, path):

@@ -182,8 +182,9 @@ def test_simulate_config_missing_field(capsys, tmp_path, config_path):
 
 
 def test_simulate_config_unknown_field(capsys, tmp_path, config_path):
-    # a typo, and a key that only a config saved by an older version carries
-    for key, value in (("restart", 8), ("step_rule", {"kind": "backtracking"})):
+    # a typo, and keys that only a config saved by an older version carries
+    for key, value in (("restart", 8), ("step_rule", {"kind": "backtracking"}),
+                       ("gradient_tolerance", 1e-8)):
         data = json.loads(config_path.read_text())
         data["solver"]["config"] = {key: value}
         bad = tmp_path / "typo.json"

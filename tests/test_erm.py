@@ -228,10 +228,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
-        SolverConfig(gradient_tolerance=-1e-9)
-    with pytest.raises(ValueError):
-        SolverConfig(gradient_tolerance=math.inf)
-    with pytest.raises(ValueError):
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(oracle_budget=0)

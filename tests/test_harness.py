@@ -26,8 +26,10 @@ from phaselab import (
     ambient,
     config_from_dict,
     config_to_dict,
+    erm,
     export_results,
     fit_slope,
+    harness,
     l1_ball,
     l2_ball,
     load_config,
@@ -455,6 +457,56 @@ def test_budget_exceeded_becomes_nan_rows():
     assert s.success_fraction == 0.0
 
 
+def _noisy_oracle_config(**solver_config):
+    # sparse_cap(12, 2) at N 40/80 and sigma 0/0.3: the noisy rows run the full support pass
+    return _sparse_config(
+        constraint_set=sparse_cap(12, 2),
+        ensemble=Ensemble("standard_gaussian", 12),
+        noise=NoiseModel("gaussian"),
+        N_grid=(40, 80),
+        sigma_grid=(0.0, 0.3),
+        trials_per_cell=3,
+        solver=SolverSpec(kind="oracle", config=SolverConfig(**solver_config)),
+        master_seed=9,
+    )
+
+
+def test_oracle_rows_report_unconverged_descents():
+    # 20 steps do not bring a noisy support's descent to its stop test
+    rows = run_experiment(_noisy_oracle_config(max_iterations=20)).rows
+    assert any(not row.converged for row in rows if row.sigma > 0)
+    assert all(math.isfinite(row.objective) for row in rows)
+
+
+@pytest.mark.parametrize("solver_config", [{}, {"max_iterations": 60}],
+                         ids=["defaults", "60-steps"])
+def test_oracle_row_carries_its_winning_descents_flag(monkeypatch, solver_config):
+    # the winning support is the first whose descent reached the trial's least objective; at
+    # 60 steps some trials' winners converged while others' did not, and some losers did not
+    solves, trials = [], []
+    descend, solve_oracle = erm._descend, erm.solve_oracle
+
+    def recording_descend(*args, **kwargs):
+        X, f, iters, conv = descend(*args, **kwargs)
+        solves.append((float(f[0]), bool(conv[0])))
+        return X, f, iters, conv
+
+    def recording_oracle(*args):
+        solves.clear()
+        res = solve_oracle(*args)
+        trials.append(list(solves))
+        return res
+
+    monkeypatch.setattr(erm, "_descend", recording_descend)
+    monkeypatch.setattr(harness, "solve_oracle", recording_oracle)
+    rows = run_experiment(_noisy_oracle_config(**solver_config)).rows
+    assert len(trials) == len(rows) == 12
+    for row, trial in zip(rows, trials):
+        least = min(f for f, _ in trial)
+        assert row.objective == least
+        assert row.converged == next(conv for f, conv in trial if f == least)
+
+
 def test_rows_carry_the_requested_shell_norm():
     config = _sparse_config(
         constraint_set=l2_ball(6, 2.0),
@@ -664,8 +716,7 @@ def _configs(draw):
     sigma = st.just(0.0) if noise.kind == "none" else st.floats(0, 5)
     kinds = ["pgd", "oracle"] if set_kind == "sparse_cap" else ["pgd"]  # the oracle enumerates supports
     solver = SolverSpec(draw(st.sampled_from(kinds)), SolverConfig(
-        max_iterations=draw(st.integers(1, 10_000)), gradient_tolerance=draw(st.floats(0, 1)),
-        restarts=draw(st.integers(1, 16)),
+        max_iterations=draw(st.integers(1, 10_000)), restarts=draw(st.integers(1, 16)),
         oracle_budget=draw(st.integers(1, 10**6)),
     ))
     return ExperimentConfig(
@@ -710,7 +761,7 @@ def test_config_partial_dict_takes_the_defaults():
         sigma_grid=(0.5,),
         trials_per_cell=1,
         solver=SolverSpec("pgd", SolverConfig(
-            max_iterations=300, gradient_tolerance=1e-8, restarts=8, oracle_budget=200_000,
+            max_iterations=300, restarts=8, oracle_budget=200_000,
         )),
         master_seed=0,
     )
@@ -751,8 +802,7 @@ def test_config_integer_fields_reject_truncation(section, key, value):
 
 
 @pytest.mark.parametrize("section, key, value, where, message", [
-    (("solver", "config"), "gradient_tolerance", True, "solver.config.gradient_tolerance",
-     "expected a number, got True"),
+    (("x0_spec",), "R0", True, "x0_spec.R0", "expected a number, got True"),
     (("noise",), "scale", False, "noise.scale", "expected a number, got False"),
     ((), "N_grid", [256.7, 512], "N_grid[0]", "expected an integer, got 256.7"),
     ((), "N_grid", [256, True], "N_grid[1]", "expected an integer, got True"),
@@ -763,8 +813,7 @@ def test_config_integer_fields_reject_truncation(section, key, value):
     ((), "sigma_grid", [math.inf], "", "sigma_grid entries must be finite and >= 0"),
     (("x0_spec",), "R0", math.nan, "x0_spec", "random_sparse needs a finite R0 >= 0, got nan"),
     (("noise",), "scale", math.inf, "noise", "noise scale must be finite and >= 0, got inf"),
-    (("solver", "config"), "gradient_tolerance", math.nan, "solver.config",
-     "gradient_tolerance must be finite and >= 0"),
+    (("x0_spec",), "R0", math.inf, "x0_spec", "random_sparse needs a finite R0 >= 0, got inf"),
     ((), "set", {"kind": "l1_ball", "n": 16, "radius": math.inf}, "set",
      "l1_ball needs a finite radius > 0, got inf"),
     ((), "x0_spec", {"mode": "explicit", "vector": [0.0] * 15 + [math.nan]}, "x0_spec",
@@ -804,6 +853,11 @@ def test_config_unknown_field_is_named():
     # a config saved when the step rule was settable is refused the same way
     data["solver"]["config"] = {"step_rule": {"kind": "backtracking", "step": None}}
     with pytest.raises(ConfigError, match=r"config\.solver\.config: unknown field 'step_rule'"):
+        config_from_dict(data)
+    # and so is one saved when the gradient tolerance was settable
+    data["solver"]["config"] = {"gradient_tolerance": 1e-8}
+    with pytest.raises(ConfigError,
+                       match=r"config\.solver\.config: unknown field 'gradient_tolerance'"):
         config_from_dict(data)
 
 

@@ -1,6 +1,6 @@
 """Package layout: no private cross-module imports, no unread imports, no dead module-level
-names, generators made only in `ensembles` and never seeded with a literal; config fields the
-JSON codec can read."""
+names, generators made only in `ensembles` and never seeded with a literal, no setting read
+from the environment; config fields the JSON codec can read."""
 
 import ast
 import collections
@@ -146,6 +146,28 @@ def test_generators_are_made_only_in_ensembles():
              for path in MODULES if path.name != "ensembles.py"
              for _, node in _calls(path, ("default_rng", "SeedSequence"))]
     assert not found, f"generators made outside ensembles: {found}"
+
+
+def _environment_reads(path):
+    """Reads of the process environment in `path`: `os.environ`, `os.getenv`, or either
+    imported from `os`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv") \
+                and isinstance(node.value, ast.Name) and node.value.id == "os":
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"line {node.lineno}: from os import {alias.name}"
+                      for alias in node.names if alias.name in ("environ", "getenv")]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_setting_comes_from_the_environment(path):
+    # every setting is a config field or a flag; an environment variable is a second,
+    # unseen way to set one
+    found = _environment_reads(path)
+    assert not found, f"{path.name} reads the environment: {found}"
 
 
 def _codec_violations(cls, path):
