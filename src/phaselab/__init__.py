@@ -12,7 +12,6 @@ from .empirics import (
     PZ_LEVELS,
     REARRANGEMENT_RATIO_HIGH,
     REARRANGEMENT_RATIO_LOW,
-    empirical_smallball_fraction,
     norm_equivalence_violations,
     paley_zygmund_admitted,
     paley_zygmund_fraction,
@@ -27,7 +26,6 @@ from .ensembles import (
     PhaseSample,
     draw_measurements,
     draw_noise,
-    estimate_smallball_kappa0,
     generate_sample,
     sub_seed,
     substream,

@@ -63,7 +63,7 @@ def _cmd_width(args):
         value = sets.mean_width_closed_form(cset, args.r)
         print(f"closed_form_width={value:.10g}")
     else:
-        est = sets.mean_width_mc(cset, args.r, args.draws, args.seed or 0)
+        est = sets.mean_width_mc(cset, args.r, args.draws, args.seed)
         print(f"mc_width={est.value:.10g} std_error={est.std_error:.3g} draws={est.draws}")
     return 0
 
@@ -77,7 +77,7 @@ def _cmd_fixed_point(args):
         shell_R0=args.shell_R0,
         backend=args.backend,
     )
-    mc = sets.McConfig(draws=args.draws, seed=args.seed or 0, candidates=args.candidates)
+    mc = sets.McConfig(draws=args.draws, seed=args.seed, candidates=args.candidates)
     value = sets.fixed_point(cset, query, mc)
     print(f"{args.functional}={value:.10g}")
     return 0
@@ -92,7 +92,7 @@ def _cmd_packing(args):
     )
     count = sets.packing_count(
         cset, center, args.ball_radius, args.separation,
-        shell_R0=args.shell_R0, candidates=args.candidates, seed=args.seed or 0,
+        shell_R0=args.shell_R0, candidates=args.candidates, seed=args.seed,
     )
     print(f"packing_count={count}")
     return 0
@@ -153,7 +153,7 @@ def _cmd_check(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     bad = 0
     for name in names:
-        failures = _SUITES[name](args.samples, args.seed or 0)
+        failures = _SUITES[name](args.samples, args.seed)
         if failures:
             bad += 1
             print(f"FAIL {name}: {'; '.join(failures)}")
@@ -182,7 +182,7 @@ def build_parser():
     p.add_argument("--set", required=True, help=_SET_HELP)
     p.add_argument("--r", type=float, required=True, help="cap radius")
     p.add_argument("--draws", type=int, default=4096)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--closed-form", action="store_true")
     p.set_defaults(func=_cmd_width)
 
@@ -195,7 +195,7 @@ def build_parser():
     p.add_argument("--backend", default="closed_form", choices=sorted(sets.BACKENDS))
     p.add_argument("--draws", type=int, default=1024)
     p.add_argument("--candidates", type=int, default=2048)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fixed_point)
 
     p = sub.add_parser("packing", help="greedy packing count on a shell piece")
@@ -205,13 +205,13 @@ def build_parser():
     p.add_argument("--shell-R0", type=float, default=None)
     p.add_argument("--center", default=None, help="comma-separated coordinates (default origin)")
     p.add_argument("--candidates", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_packing)
 
     p = sub.add_parser("check", help="run the calibration/regression suites")
     p.add_argument("suite", nargs="?", default="all", choices=["all", *sorted(_SUITES)])
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
 
     return parser

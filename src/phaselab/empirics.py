@@ -1,4 +1,4 @@
-"""Empirical Orlicz norms, tail rearrangements, and small-ball diagnostics.
+"""Empirical Orlicz norms, tail rearrangements, Paley-Zygmund fractions, norm equivalences.
 
 All functionals treat a vector v as a random variable under the uniform
 measure on its m coordinates.
@@ -152,23 +152,6 @@ def _psi1_at_most(V, c):
     return t + np.log(total) - math.log(2.0 * V.shape[1]) <= 0.0
 
 
-def empirical_smallball_fraction(A, u, v, c1):
-    """Fraction of rows with |<a_i,u><a_i,v>| >= c1 ||u|| ||v||."""
-    A = np.asarray(A, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if A.ndim != 2 or u.shape != (A.shape[1],) or v.shape != (A.shape[1],):
-        raise ValueError("A must be (N, n) with u, v of length n")
-    if not c1 >= 0:
-        raise ValueError(f"c1 must be >= 0, got {c1}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("u and v must both be nonzero")
-    thr = c1 * nu * nv
-    return float(np.mean(np.abs((A @ u) * (A @ v)) >= thr))
-
-
 # ---------------------------------------------------------------------------
 # norm-product equivalence around a signal
 
@@ -213,8 +196,8 @@ def _row_norms(X):
     return np.sqrt(total)
 
 
-def random_norm_triples(count, seed, dim=3):
-    """Random (X, X0, R) stress triples concentrated near the case boundaries.
+def random_norm_triples(count, seed):
+    """Random (X, X0, R) stress triples in R^3 concentrated near the case boundaries.
 
     Mixes independent pairs, pairs with x near +-x0, and pairs rescaled to
     put the product near the threshold R; ||x0|| straddles sqrt(R)/4.
@@ -224,16 +207,16 @@ def random_norm_triples(count, seed, dim=3):
     sqrt_r = np.sqrt(R)
 
     t0 = 0.25 * sqrt_r * np.exp(rng.uniform(-3.0, 3.0, count))
-    X0 = rng.standard_normal((count, dim))
+    X0 = rng.standard_normal((count, 3))
     X0 *= (t0 / _row_norms(X0))[:, None]
 
-    X = rng.standard_normal((count, dim))
+    X = rng.standard_normal((count, 3))
     X *= (sqrt_r * np.exp(rng.uniform(-1.5, 1.5, count)) / _row_norms(X))[:, None]
 
     mode = rng.integers(0, 3, count)
-    near = X0 * rng.choice([-1.0, 1.0], count)[:, None] + rng.standard_normal((count, dim)) * (
+    near = X0 * rng.choice([-1.0, 1.0], count)[:, None] + rng.standard_normal((count, 3)) * (
         sqrt_r * np.exp(rng.uniform(-4.0, 0.5, count))
-    )[:, None] / math.sqrt(dim)
+    )[:, None] / math.sqrt(3)
     X = np.where((mode == 1)[:, None], near, X)
 
     boundary = X * (sqrt_r * np.exp(rng.uniform(-0.2, 0.2, count)) /
@@ -242,9 +225,9 @@ def random_norm_triples(count, seed, dim=3):
     return X, X0, R
 
 
-def norm_equivalence_violations(count, c1, c2, seed, dim=3):
+def norm_equivalence_violations(count, c1, c2, seed):
     """Count forward/backward counterexamples over random stress triples."""
-    X, X0, R = random_norm_triples(count, seed, dim)
+    X, X0, R = random_norm_triples(count, seed)
     fwd, bwd, _ = _equivalence_implications(
         _row_norms(X - X0),
         _row_norms(X + X0),

@@ -145,29 +145,3 @@ def generate_sample(x0, ensemble, noise, N, seed):
         A[start:start + len(rows)] = rows
         z[start:start + len(rows)] = rows @ x0
     return PhaseSample(A=A, y=z ** 2 + w, x0=x0.copy(), noise_realization=w)
-
-
-def estimate_smallball_kappa0(ensemble, pair_count, mc_samples, seed):
-    """Monte Carlo estimate of kappa_0 = min over unit pairs of E|<a,s><a,t>|.
-
-    Samples `pair_count` pairs (s, t) uniformly on the sphere, estimates the
-    product moment for each on a shared batch of `mc_samples` rows, and
-    returns (smallest estimate, worst pair).
-
-    Returns
-    -------
-    (kappa0_hat, (s, t)) : float and the minimizing pair of unit vectors.
-    """
-    if pair_count < 1 or mc_samples < 1:
-        raise ValueError("pair_count and mc_samples must be >= 1")
-    rng = substream(seed, 2)
-    n = ensemble.dimension
-    S = rng.standard_normal((pair_count, n))
-    T = rng.standard_normal((pair_count, n))
-    S /= np.linalg.norm(S, axis=1, keepdims=True)
-    T /= np.linalg.norm(T, axis=1, keepdims=True)
-    A = draw_measurements(ensemble, mc_samples, seed)
-    # E|<a,s><a,t>| per pair, common measurement draws across pairs
-    est = np.abs((A @ S.T) * (A @ T.T)).mean(axis=0)
-    worst = int(np.argmin(est))
-    return float(est[worst]), (S[worst].copy(), T[worst].copy())

@@ -156,6 +156,9 @@ class ExperimentConfig:
             raise ValueError("trials_per_cell must be >= 1")
         if self.constraint_set.n != self.ensemble.dimension:
             raise ValueError("constraint set and ensemble dimensions differ")
+        if self.noise.scale != 0.0:
+            raise ConfigError("noise.scale is not read: sigma_grid sets each cell's noise "
+                              "level; write 0.0 or leave it out")
         if max(self.sigma_grid) > 0 and self.noise.kind == "none":
             raise ValueError("sigma_grid has positive entries but the noise kind is 'none'")
         if self.x0_spec.mode == "explicit" and len(self.x0_spec.vector) != self.constraint_set.n:

@@ -670,8 +670,11 @@ def packing_count(cset, center, ball_radius, separation, shell_R0=None,
 
     Counts a maximal subset of candidate points, pairwise >= separation
     apart, drawn from {x in set : ||x - center|| <= ball_radius} further
-    restricted to ||x|| within 1% of shell_R0 when given.  Candidates are
-    rejection-sampled unless `candidate_points` supplies them explicitly.
+    restricted to ||x|| within 1% of shell_R0 when given.  Unless
+    `candidate_points` supplies them, the candidates are the centre and
+    `candidates` uniform draws from the ball around it, each mapped toward
+    the shell (or projected onto the set when no positive shell_R0 is given);
+    the membership, ball and shell filters then drop those that miss.
     Returns 0 if nothing feasible survives.
     """
     center = _check_vector(cset, center)

@@ -13,7 +13,6 @@ from phaselab import (
     PZ_LEVELS,
     REARRANGEMENT_RATIO_HIGH,
     REARRANGEMENT_RATIO_LOW,
-    empirical_smallball_fraction,
     empirics,
     norm_equivalence_violations,
     paley_zygmund_admitted,
@@ -261,46 +260,6 @@ def test_one_pass_admission_matches_the_newton_ratio_on_stress_vectors(inputs, b
 
 
 # ---------------------------------------------------------------------------
-# empirical small-ball fractions
-
-
-def test_smallball_zero_threshold_counts_everything():
-    A = np.random.default_rng(18).standard_normal((40, 3))
-    assert empirical_smallball_fraction(A, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.0) == 1.0
-
-
-def test_smallball_deterministic_rows():
-    u = np.array([3.0, 4.0])
-    A = np.tile(u / 5.0, (25, 1))
-    for c1 in (0.5, 1.0):
-        assert empirical_smallball_fraction(A, u, u, c1) == 1.0
-    assert empirical_smallball_fraction(A, u, u, 1.0 + 1e-9) == 0.0
-
-
-def test_smallball_orthogonal_gaussian_matches_product_normal_tail():
-    rng = np.random.default_rng(19)
-    A = rng.standard_normal((100_000, 2))
-    frac = empirical_smallball_fraction(A, [1.0, 0.0], [0.0, 1.0], 0.1)
-    # independent Monte Carlo oracle for P(|g1*g2| >= 0.1)
-    oracle_rng = np.random.default_rng(991)
-    z = oracle_rng.standard_normal(2_000_000) * oracle_rng.standard_normal(2_000_000)
-    oracle = float(np.mean(np.abs(z) >= 0.1))
-    assert abs(frac - oracle) <= 0.01
-
-
-def test_smallball_validation():
-    A = np.eye(3)
-    with pytest.raises(ValueError):
-        empirical_smallball_fraction(A, np.zeros(3), np.ones(3), 0.1)
-    with pytest.raises(ValueError):
-        empirical_smallball_fraction(A, np.ones(3), np.zeros(3), 0.1)
-    with pytest.raises(ValueError):
-        empirical_smallball_fraction(A, np.ones(3), np.ones(3), -0.5)
-    with pytest.raises(ValueError):
-        empirical_smallball_fraction(A, np.ones(2), np.ones(3), 0.1)
-
-
-# ---------------------------------------------------------------------------
 # norm equivalence around a signal
 
 
@@ -380,20 +339,20 @@ def test_row_norms_are_numpys_bit_for_bit(width):
     np.testing.assert_array_equal(empirics._row_norms(X), np.linalg.norm(X, axis=1))
 
 
-def _triples_by_linalg_norm(count, seed, dim=3):
+def _triples_by_linalg_norm(count, seed):
     # random_norm_triples with the np.linalg.norm row norms it had before
     rng = substream(seed)
     R = np.exp(rng.uniform(math.log(0.25), math.log(4.0), count))
     sqrt_r = np.sqrt(R)
     t0 = 0.25 * sqrt_r * np.exp(rng.uniform(-3.0, 3.0, count))
-    X0 = rng.standard_normal((count, dim))
+    X0 = rng.standard_normal((count, 3))
     X0 *= (t0 / np.linalg.norm(X0, axis=1))[:, None]
-    X = rng.standard_normal((count, dim))
+    X = rng.standard_normal((count, 3))
     X *= (sqrt_r * np.exp(rng.uniform(-1.5, 1.5, count)) / np.linalg.norm(X, axis=1))[:, None]
     mode = rng.integers(0, 3, count)
-    near = X0 * rng.choice([-1.0, 1.0], count)[:, None] + rng.standard_normal((count, dim)) * (
+    near = X0 * rng.choice([-1.0, 1.0], count)[:, None] + rng.standard_normal((count, 3)) * (
         sqrt_r * np.exp(rng.uniform(-4.0, 0.5, count))
-    )[:, None] / math.sqrt(dim)
+    )[:, None] / math.sqrt(3)
     X = np.where((mode == 1)[:, None], near, X)
     boundary = X * (sqrt_r * np.exp(rng.uniform(-0.2, 0.2, count)) /
                     np.maximum(np.linalg.norm(X, axis=1), 1e-300))[:, None]

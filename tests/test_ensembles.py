@@ -6,7 +6,6 @@ from phaselab import (
     NoiseModel,
     draw_measurements,
     draw_noise,
-    estimate_smallball_kappa0,
     generate_sample,
     sub_seed,
     substream,
@@ -117,7 +116,7 @@ def test_generate_sample_dimension_mismatch():
 
 
 def test_product_moment_for_hand_pairs():
-    # the quantity the kappa0 estimator minimizes: E|<a,s><a,t>|.
+    # the small-ball product moment E|<a,s><a,t>| for two unit pairs.
     # s = t unit: E<a,s>^2 = 1.  s perpendicular to t: E|g1 g2| = 2/pi.
     A = draw_measurements(Ensemble("standard_gaussian", 6), 200_000, seed=21)
     s = np.zeros(6); s[0] = 1.0
@@ -126,19 +125,6 @@ def test_product_moment_for_hand_pairs():
     perp = np.abs((A @ s) * (A @ t))
     assert abs(same.mean() - 1.0) <= 4 * same.std() / np.sqrt(A.shape[0])
     assert abs(perp.mean() - 2 / np.pi) <= 4 * perp.std() / np.sqrt(A.shape[0])
-
-
-def test_kappa0_gaussian_floor():
-    k0, (s, t) = estimate_smallball_kappa0(Ensemble("standard_gaussian", 20),
-                                           pair_count=200, mc_samples=4000, seed=13)
-    assert k0 >= 0.5
-    assert abs(np.linalg.norm(s) - 1.0) < 1e-12
-    assert abs(np.linalg.norm(t) - 1.0) < 1e-12
-
-
-def test_kappa0_determinism():
-    args = (Ensemble("rademacher", 6), 20, 500, 17)
-    assert estimate_smallball_kappa0(*args)[0] == estimate_smallball_kappa0(*args)[0]
 
 
 def _isotropy_defect(ensemble, directions, mc_samples, seed):

@@ -338,6 +338,22 @@ def test_config_validation():
         _sparse_config(x0_spec=X0Spec(mode="explicit", vector=(1.0, 0.0)))
 
 
+def test_config_refuses_a_noise_scale_that_sigma_grid_shadows():
+    # each cell draws its noise at its sigma_grid entry, so noise.scale is never read
+    message = "noise.scale is not read: sigma_grid sets each cell's noise level"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _sparse_config(noise=NoiseModel("gaussian", 0.3), sigma_grid=(0.5,))
+    data = config_to_dict(_sparse_config(noise=NoiseModel("gaussian"), sigma_grid=(0.5,)))
+    data["noise"]["scale"] = 0.3
+    with pytest.raises(ConfigError, match=re.escape(f"config: {message}")):
+        config_from_dict(data)
+    data["noise"]["scale"] = 0.0
+    loaded = config_from_dict(data)
+    del data["noise"]["scale"]
+    assert config_from_dict(data) == loaded
+    assert loaded.noise == NoiseModel("gaussian") and loaded.sigma_grid == (0.5,)
+
+
 def test_x0_spec_validation():
     with pytest.raises(ValueError):
         X0Spec(mode="psychic")
@@ -711,8 +727,7 @@ def _configs(draw):
     else:
         x0 = X0Spec(mode, R0=draw(st.floats(0, 10)),
                     d=draw(st.integers(1, n) if mode == "random_sparse" else st.none()))
-    noise = NoiseModel(draw(st.sampled_from(["none", "gaussian", "bounded_uniform"])),
-                       draw(st.floats(0, 10)))
+    noise = NoiseModel(draw(st.sampled_from(["none", "gaussian", "bounded_uniform"])))
     sigma = st.just(0.0) if noise.kind == "none" else st.floats(0, 5)
     kinds = ["pgd", "oracle"] if set_kind == "sparse_cap" else ["pgd"]  # the oracle enumerates supports
     solver = SolverSpec(draw(st.sampled_from(kinds)), SolverConfig(
