@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import substream
-from .errors import BudgetExceededError, UnsupportedSetError
+from .errors import BudgetExceededError, UnsupportedSetError, check_integer
 from .sets import project, random_feasible
 
 _TINY = 1e-300
@@ -87,28 +87,24 @@ def _spectral_matrix(A, y):
     return M / A.shape[0]
 
 
-def _leading_eig(M):
-    """Largest eigenvalue of the symmetric matrix M and a unit eigenvector for it.
+def _spectral_start(M):
+    """The largest eigenvalue lam of the symmetric matrix M and its rank-1 factor
+    sqrt(max(lam, 0)) v, zero if lam <= 0.
 
-    Sign convention: the first non-negligible coordinate of the eigenvector is
+    Sign convention: the first non-negligible coordinate of the unit eigenvector v is
     positive.
     """
     lam, V = np.linalg.eigh(M)
-    v = V[:, -1]
+    lam, v = float(lam[-1]), V[:, -1]
     if v[np.flatnonzero(np.abs(v) > 1e-12)[0]] < 0:  # v has unit norm
         v = -v
-    return float(lam[-1]), v
-
-
-def _spectral_start(lam, v):
-    """sqrt(max(lam, 0)) v: the rank-1 factor of the eigenpair, zero if lam <= 0."""
-    return math.sqrt(max(float(lam), 0.0)) * v
+    return lam, math.sqrt(max(lam, 0.0)) * v
 
 
 def spectral_init(sample):
     """sqrt(max(lambda_1, 0)) times the leading eigenvector of
     (1/N) sum y_i a_i a_i^T."""
-    return _spectral_start(*_leading_eig(_spectral_matrix(sample.A, sample.y)))
+    return _spectral_start(_spectral_matrix(sample.A, sample.y))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +118,8 @@ class SolverConfig:
     oracle_budget: int = 200_000
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.oracle_budget < 1:
-            raise ValueError("oracle_budget must be >= 1")
+        for name in ("max_iterations", "restarts", "oracle_budget"):
+            check_integer(name, getattr(self, name), 1)
 
 
 @dataclass(frozen=True)
@@ -282,21 +274,20 @@ _PGD_TOLERANCE = 1e-8
 _SUPPORT_TOLERANCE = 1e-12
 
 
-def _descend(A, y, X, base_step, max_iter, tol, project=None, M=None):
+def _descend(steps, X, base_step, max_iter, tol, project=None):
     """Descent of the loss from each row of X by backtracking steps, mapped by `project`.
 
-    None means no projection.  A step is accepted on sufficient decrease (Armijo constant
-    1e-4); an accepted step grows the row's step size by 1.1, a rejected one halves it.
-    Each row keeps its own step size, accept/reject test, exits and iteration count; the
-    live rows share each step's products, and a row leaves them when it finishes.  Given
-    M, the spectral matrix of (A, y), the steps are `_SparseSteps`; pass it only when
-    every iterate has few nonzeros.  Returns per-row (X, f, iterations, converged).
+    `steps` gives the loss and gradient at the rows: `_DenseSteps`, or `_SparseSteps` when
+    every iterate has few nonzeros.  None means no projection.  A step is accepted on
+    sufficient decrease (Armijo constant 1e-4); an accepted step grows the row's step size
+    by 1.1, a rejected one halves it.  Each row keeps its own step size, accept/reject
+    test, exits and iteration count; the live rows share each step's products, and a row
+    leaves them when it finishes.  Returns per-row (X, f, iterations, converged).
     """
     x = np.array(X, dtype=float, ndmin=2)
     k = x.shape[0]
     X, f, iters, conv = np.empty_like(x), np.empty(k), np.empty(k, dtype=int), np.empty(k, bool)
     live, step, it = np.arange(k), np.full(k, float(base_step)), np.ones(k, dtype=int)
-    steps = _DenseSteps(A, y) if M is None else _SparseSteps(A, y, M)
     fx, pt = steps.at(x)
     g = steps.gradient(*pt)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -341,11 +332,11 @@ def solve_pgd(sample, cset, config, seed):
     if sample.n != cset.n:
         raise ValueError(f"sample dimension {sample.n} != set dimension {cset.n}")
     M = _spectral_matrix(sample.A, sample.y)
-    lam1, v1 = _leading_eig(M)
+    lam1, x1 = _spectral_start(M)
     base_step = 0.1 / lam1 if lam1 > 0 else 1.0
 
     rng = substream(seed, 0)
-    starts = [project(cset, _spectral_start(lam1, v1))]
+    starts = [project(cset, x1)]
     norm0 = float(np.linalg.norm(starts[0]))
     for _ in range(config.restarts - 1):
         z = random_feasible(cset, rng, 1)[0]
@@ -354,10 +345,10 @@ def solve_pgd(sample, cset, config, seed):
             z = project(cset, z * (norm0 / nz))
         starts.append(z)
 
-    sparse = _sparse_steps_pay(cset, sample.N)
-    X, f, iters, conv = _descend(
-        sample.A, sample.y, np.array(starts), base_step, config.max_iterations,
-        _PGD_TOLERANCE, functools.partial(project, cset), M if sparse else None)
+    steps = (_SparseSteps(sample.A, sample.y, M) if _sparse_steps_pay(cset, sample.N)
+             else _DenseSteps(sample.A, sample.y))
+    X, f, iters, conv = _descend(steps, np.array(starts), base_step, config.max_iterations,
+                                 _PGD_TOLERANCE, functools.partial(project, cset))
     # a diverged run never wins; if all diverged, argmin keeps restart 0
     best = int(np.argmin(np.where(np.isfinite(f), f, np.inf)))
     prod, sign, _ = error_metrics(X[best], sample.x0)
@@ -436,21 +427,14 @@ def _make_gram_screen(rows, ym, n, iu):
     return screen
 
 
-def _gram_init(sol_row, d, iu):
-    """Rank-1 factor sqrt(lam_1) v_1 of the packed symmetric solution."""
-    X = np.zeros((d, d))
-    X[iu[0], iu[1]] = sol_row
-    X[iu[1], iu[0]] = sol_row
-    return _spectral_start(*_leading_eig(X))
+def _oracle_candidates(supports, screen, M, d, iu):
+    """(row, x_init) pairs of `supports` in the oracle's solve order, x_init the top factor
+    of a d x d matrix (`_spectral_start`).
 
-
-def _oracle_candidates(supports, screen, d, iu):
-    """(row, x_init) pairs of `supports` in the oracle's solve order.
-
-    First every support the cheap Gram screen finds (near-)consistent, block by
-    block, with its Gram start; then every other support, lowest screen residual
-    first, with None (a spectral start).  Lazy, so a caller that stops at a
-    certified zero screens no further block.
+    First every support the cheap Gram screen finds (near-)consistent, block by block,
+    from its unpacked Gram solution; then every other support S, lowest screen residual
+    first, from M[S, S], with M the spectral matrix of the sample.  Lazy, so a caller that
+    stops at a certified zero screens no further block.
     """
     residuals = np.empty(len(supports))
     block = 8192
@@ -458,24 +442,21 @@ def _oracle_candidates(supports, screen, d, iu):
         resid, sols = screen(supports[start:start + block])
         residuals[start:start + len(resid)] = resid
         for h in np.flatnonzero(resid <= 1e-12):
-            yield start + int(h), _gram_init(sols[h], d, iu)
+            X = np.zeros((d, d))
+            X[iu], X[iu[::-1]] = sols[h], sols[h]
+            yield start + int(h), _spectral_start(X)[1]
     ranked = np.argsort(residuals, kind="stable")
     for row in ranked[~(residuals[ranked] <= 1e-12)]:
-        yield int(row), None
+        S = supports[row]
+        yield int(row), _spectral_start(M[np.ix_(S, S)])[1]
 
 
-def _solve_support(A, y, M, supp, x_init, max_iter):
-    """Descent of the loss restricted to columns `supp`: (x, objective, iterations, converged).
-
-    Starts from x_init, or if it is None from the top eigenpair of M[S, S], S = supp, with
-    M the spectral matrix of (A, y); base step 0.1 / ||x_init||^2 (1.0 at a zero start).
-    """
-    As = A[:, supp]
-    if x_init is None:
-        x_init = _spectral_start(*_leading_eig(M[np.ix_(supp, supp)]))
+def _solve_support(A, y, supp, x_init, max_iter):
+    """Descent of the loss restricted to columns `supp` from x_init: (x, objective,
+    iterations, converged), with base step 0.1 / ||x_init||^2 (1.0 at a zero start)."""
     scale = float(x_init @ x_init)
-    X, f, iters, conv = _descend(As, y, x_init, 0.1 / scale if scale > 0 else 1.0, max_iter,
-                                 _SUPPORT_TOLERANCE)
+    X, f, iters, conv = _descend(_DenseSteps(A[:, supp], y), x_init,
+                                 0.1 / scale if scale > 0 else 1.0, max_iter, _SUPPORT_TOLERANCE)
     return X[0], float(f[0]), int(iters[0]), bool(conv[0])
 
 
@@ -513,8 +494,8 @@ def solve_oracle(sample, cset, config, seed):
     m = min(N, 2 * iu[0].size + 10)
     screen = _make_gram_screen(A[:m], y[:m], n, iu)
     best_f, best_x, best_row, best_conv, total_iters = math.inf, np.zeros(d), 0, False, 0
-    for row, x_init in _oracle_candidates(supports, screen, d, iu):
-        x, fx, its, conv = _solve_support(A, y, M, supports[row], x_init, config.max_iterations)
+    for row, x_init in _oracle_candidates(supports, screen, M, d, iu):
+        x, fx, its, conv = _solve_support(A, y, supports[row], x_init, config.max_iterations)
         total_iters += its
         if fx < best_f:
             best_f, best_x, best_row, best_conv = fx, x, row, conv

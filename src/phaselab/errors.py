@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the check that integer settings share."""
+
+import numbers
 
 
 class UnsupportedSetError(ValueError):
@@ -15,3 +17,12 @@ class InsufficientDataError(ValueError):
 
 class ConfigError(ValueError):
     """Raised on malformed config or results files; message carries field/line context."""
+
+
+def check_integer(name, value, least):
+    """Raise ValueError unless `value` is an integer >= `least`; a bool, a float or any
+    other non-integer gets the JSON codec's wording, `expected an integer, got 2.5`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")

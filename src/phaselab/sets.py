@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensembles import sub_seed, substream
-from .errors import UnsupportedSetError
+from .errors import UnsupportedSetError, check_integer
 
 SET_KINDS = ("sparse_cap", "l1_ball", "l2_ball", "ambient")
 FUNCTIONALS = ("r0", "r2", "rN", "sN", "vN", "qN", "tN")
@@ -79,14 +79,15 @@ def _check_vector(cset, x):
 
 
 def contains(cset, x, tol=1e-9):
-    """Membership test with additive tolerance `tol`; a (k, n) stack gets one flag per row."""
+    """Membership test with additive tolerance `tol`; a (k, n) stack gets one flag per row.
+    A row with a NaN or infinite entry is in no set."""
     x = np.asarray(x, dtype=float)
     if not (x.ndim == 2 and x.shape[1] == cset.n):
         return bool(contains(cset, _check_vector(cset, x)[None, :], tol)[0])
     if cset.kind == "ambient":
-        return np.ones(x.shape[0], dtype=bool)
+        return np.isfinite(x).all(axis=1)
     if cset.kind == "sparse_cap":
-        return (np.abs(x) > tol).sum(axis=1) <= cset.d
+        return np.isfinite(x).all(axis=1) & ((np.abs(x) > tol).sum(axis=1) <= cset.d)
     if cset.kind == "l1_ball":
         return np.abs(x).sum(axis=1) <= cset.radius + tol
     return np.linalg.norm(x, axis=1) <= cset.radius + tol
@@ -347,7 +348,7 @@ class FixedPointQuery:
     functional picks Phi and p: "rN"/"sN"/"vN" use the cap width with
     p = 1/2/3; "r0"/"r2" use the global complexity of the normalized
     excess-loss classes (p = 0/1); "qN"/"tN" use the shell packing
-    functional (p = 2/3) and need shell_R0.
+    functional (p = 2/3) and need shell_R0, which the other five refuse.
     """
 
     functional: str
@@ -367,6 +368,8 @@ class FixedPointQuery:
             raise ValueError(f"unknown backend {self.backend!r}, expected one of {BACKENDS}")
         if self.functional in ("qN", "tN") and not (self.shell_R0 and self.shell_R0 > 0):
             raise ValueError("qN/tN need shell_R0 > 0")
+        if self.functional not in ("qN", "tN") and self.shell_R0 is not None:
+            raise ValueError(f"{self.functional} does not read shell_R0; only qN and tN do")
 
 
 @dataclass(frozen=True)
@@ -379,9 +382,8 @@ class McConfig:
     centers: int = 4
 
     def __post_init__(self):
-        for name in ("draws", "candidates", "centers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"McConfig.{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("draws", "seed", "candidates", "centers"):
+            check_integer(f"McConfig.{name}", getattr(self, name), 0 if name == "seed" else 1)
 
 
 def _max_norm(cset):

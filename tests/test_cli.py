@@ -8,6 +8,7 @@ import pytest
 from phaselab import (
     Ensemble,
     ExperimentConfig,
+    FixedPointQuery,
     NoiseModel,
     SolverConfig,
     SolverSpec,
@@ -72,6 +73,20 @@ def test_fixed_point_packing_requires_monte_carlo(capsys):
     )
     assert code == 2
     assert "monte_carlo" in err
+
+
+@pytest.mark.parametrize("functional", ["rN", "sN", "vN", "r0", "r2"])
+def test_fixed_point_refuses_a_shell_it_does_not_read(capsys, functional):
+    # only qN and tN read the shell; the other five would silently ignore it
+    code, out, err = _run(
+        capsys, "fixed-point", "--set", "l1_ball:64", "--functional", functional,
+        "--level", "1", "--N", "1024", "--shell-R0", "0.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{functional} does not read shell_R0" in err
+    with pytest.raises(ValueError, match="does not read shell_R0"):
+        FixedPointQuery(functional, 1.0, 100, shell_R0=0.5)
 
 
 @pytest.mark.parametrize("draws", ["0", "-5"])

@@ -231,6 +231,12 @@ def test_config_validation():
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(oracle_budget=0)
+    # a non-integer is refused when built: PGD at max_iterations=2.5 never met its budget
+    for field, value in (("max_iterations", 2.5), ("restarts", 2.5), ("oracle_budget", True),
+                         ("restarts", 2.0), ("max_iterations", "300")):
+        with pytest.raises(ValueError, match=f"{field}: expected an integer, got {value!r}"):
+            SolverConfig(**{field: value})
+    assert SolverConfig(max_iterations=np.int64(50)).max_iterations == 50
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +320,17 @@ def test_batched_descent_rows_are_independent(cset, tables, seed, k, sigma):
     # reject and another local minimum; so a batch row is compared with its solo
     # run over a short horizon only, behind a zero row (stationary: it leaves at
     # iteration 1), and a full run must commute with permuting the rows exactly.
-    # With `tables` the kernel gets the spectral matrix and runs its sparse steps
+    # With `tables` the kernel runs the sparse steps, which read the spectral matrix
     rng = np.random.default_rng(seed)
     x0 = random_feasible(cset, rng, 1)[0]
     s = generate_sample(x0, GAUSS(6), NoiseModel("gaussian", sigma), 40, seed=seed)
     starts = project(cset, 2.0 * rng.standard_normal((k, 6)))
     base_step = 0.1 / max(float(spectral_init(s) @ spectral_init(s)), 1e-12)
-    M = erm._spectral_matrix(s.A, s.y) if tables else None
+    M = erm._spectral_matrix(s.A, s.y)
 
     def run(X, max_iter):
-        return erm._descend(s.A, s.y, X, base_step, max_iter, 1e-8,
-                            functools.partial(project, cset), M=M)
+        steps = erm._SparseSteps(s.A, s.y, M) if tables else erm._DenseSteps(s.A, s.y)
+        return erm._descend(steps, X, base_step, max_iter, 1e-8, functools.partial(project, cset))
 
     _, f, iters, conv = run(np.vstack([np.zeros(6), starts]), 5)
     assert iters[0] == 1 and conv[0]
@@ -382,8 +388,8 @@ def test_table_gradient_equals_the_dense_gradient(seed, n, d, N, sigma):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12), d=st.integers(1, 4),
        sigma=st.sampled_from([0.1, 1.0]))
 def test_sparse_steps_end_where_dense_steps_end(seed, n, d, sigma):
-    # from the same d-sparse starts, the descent with the spectral matrix (sparse steps)
-    # and without it (dense products) end on the same objectives, to 1e-12 relative
+    # from the same d-sparse starts, the descent by sparse steps and by dense products
+    # end on the same objectives, to 1e-12 relative
     d = min(d, n // 2)
     cset = sparse_cap(n, d)
     rng = np.random.default_rng(seed)
@@ -391,9 +397,9 @@ def test_sparse_steps_end_where_dense_steps_end(seed, n, d, sigma):
     s = generate_sample(x0, GAUSS(n), NoiseModel("gaussian", sigma), 20 * n, seed=seed)
     starts = project(cset, rng.standard_normal((4, n)))
     base_step = 0.1 / max(float(spectral_init(s) @ spectral_init(s)), 1e-12)
-    runs = [erm._descend(s.A, s.y, starts, base_step, 300, 1e-8,
-                         functools.partial(project, cset), M=M)
-            for M in (None, erm._spectral_matrix(s.A, s.y))]
+    runs = [erm._descend(steps, starts, base_step, 300, 1e-8, functools.partial(project, cset))
+            for steps in (erm._DenseSteps(s.A, s.y),
+                          erm._SparseSteps(s.A, s.y, erm._spectral_matrix(s.A, s.y)))]
     np.testing.assert_allclose(runs[1][1], runs[0][1], rtol=1e-12, atol=0.0)
 
 

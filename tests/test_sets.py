@@ -73,6 +73,15 @@ def test_contains_stack_equals_row_by_row():
         assert flags.tolist() == [contains(cset, x) for x in X]
 
 
+@pytest.mark.parametrize("cset", ALL_KINDS, ids=lambda c: c.kind)
+def test_contains_is_false_on_a_non_finite_row(cset):
+    X = np.zeros((4, cset.n))
+    X[0], X[1, 0], X[2, 1], X[3, 0] = math.nan, math.inf, -math.inf, math.nan
+    assert contains(cset, X).tolist() == [False] * 4
+    assert not any(contains(cset, x) for x in X)
+    assert contains(cset, np.zeros(cset.n))
+
+
 def test_contains_dimension_mismatch():
     with pytest.raises(ValueError):
         contains(l1_ball(3, 1.0), [1.0, 0.0])
@@ -613,6 +622,19 @@ def test_width_mc_validation():
 def test_mc_config_rejects_empty_budgets(field, value):
     with pytest.raises(ValueError, match=f"McConfig.{field} must be >= 1"):
         McConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["draws", "seed", "candidates", "centers"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_mc_config_rejects_non_integers(field, value):
+    with pytest.raises(ValueError, match=f"McConfig.{field}: expected an integer, got {value!r}"):
+        McConfig(**{field: value})
+
+
+def test_mc_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="McConfig.seed must be >= 0, got -1"):
+        McConfig(seed=-1)
+    assert McConfig(seed=0).seed == 0
 
 
 def test_width_closed_form_hand_cases():
