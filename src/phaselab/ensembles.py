@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_integer
+
 ENSEMBLE_KINDS = ("standard_gaussian", "rademacher", "scaled_uniform")
 NOISE_KINDS = ("none", "gaussian", "bounded_uniform")
 
@@ -50,8 +52,7 @@ class Ensemble:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}, expected one of {ENSEMBLE_KINDS}")
-        if int(self.dimension) < 1:
-            raise ValueError(f"ensemble dimension must be >= 1, got {self.dimension}")
+        check_integer("dimension", self.dimension, 1)
 
 
 @dataclass(frozen=True)

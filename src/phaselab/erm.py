@@ -1,8 +1,8 @@
 """Least-squares solvers for recovery from noisy quadratic measurements.
 
-The objective is (1/N) sum_i (<a_i, x>^2 - y_i)^2, minimized over a
-constraint set.  The sign of the signal is not identifiable, so errors are
-reported both as the product ||x-x0||*||x+x0|| and as the best-sign distance.
+The objective is (1/N) sum_i (<a_i, x>^2 - y_i)^2, minimized over a constraint
+set without reading the signal x0.  Its sign is not identifiable, so `error_metrics`
+gives an error both as the product ||x-x0||*||x+x0|| and as the best-sign distance.
 """
 
 from __future__ import annotations
@@ -126,8 +126,6 @@ class SolverConfig:
 class TrialResult:
     x_hat: np.ndarray
     objective_value: float
-    product_error: float
-    sign_error: float
     iterations_used: int
     converged: bool
 
@@ -351,8 +349,7 @@ def solve_pgd(sample, cset, config, seed):
                                  _PGD_TOLERANCE, functools.partial(project, cset))
     # a diverged run never wins; if all diverged, argmin keeps restart 0
     best = int(np.argmin(np.where(np.isfinite(f), f, np.inf)))
-    prod, sign, _ = error_metrics(X[best], sample.x0)
-    return TrialResult(X[best], float(f[best]), prod, sign, int(iters.sum()),
+    return TrialResult(X[best], float(f[best]), int(iters.sum()),
                        bool(conv[best]) and math.isfinite(f[best]))
 
 
@@ -504,5 +501,4 @@ def solve_oracle(sample, cset, config, seed):
 
     x_hat = np.zeros(n)
     x_hat[supports[best_row]] = best_x
-    prod, sign, _ = error_metrics(x_hat, sample.x0)
-    return TrialResult(x_hat, best_f, prod, sign, total_iters, best_conv)
+    return TrialResult(x_hat, best_f, total_iters, best_conv)

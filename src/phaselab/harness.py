@@ -10,7 +10,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import Ensemble, NoiseModel, generate_sample, sub_seed, substream
-from .erm import SolverConfig, TrialResult, solve_oracle, solve_pgd
-from .errors import BudgetExceededError, ConfigError, InsufficientDataError
+from .erm import SolverConfig, error_metrics, solve_oracle, solve_pgd
+from .errors import BudgetExceededError, ConfigError, InsufficientDataError, check_integer
 from .sets import (ConstraintSet, FixedPointQuery, fixed_point, l1_ball, random_feasible,
                    sparse_cap, toward_shell)
 
@@ -116,8 +115,8 @@ class X0Spec:
                 raise ValueError("explicit x0 vector entries must be finite")
         elif self.R0 is None or not 0 <= self.R0 < math.inf:
             raise ValueError(f"{self.mode} needs a finite R0 >= 0, got {self.R0}")
-        if self.mode == "random_sparse" and (self.d is None or self.d < 1):
-            raise ValueError("random_sparse needs d >= 1")
+        if self.mode == "random_sparse":
+            check_integer("d", self.d, 1)
 
 
 @dataclass(frozen=True)
@@ -152,8 +151,8 @@ class ExperimentConfig:
             raise ValueError("N_grid entries must be >= 1")
         if not all(0 <= s < math.inf for s in self.sigma_grid):
             raise ValueError(f"sigma_grid entries must be finite and >= 0, got {self.sigma_grid}")
-        if self.trials_per_cell < 1:
-            raise ValueError("trials_per_cell must be >= 1")
+        check_integer("trials_per_cell", self.trials_per_cell, 1)
+        check_integer("master_seed", self.master_seed, 0)
         if self.constraint_set.n != self.ensemble.dimension:
             raise ValueError("constraint set and ensemble dimensions differ")
         if self.noise.scale != 0.0:
@@ -196,7 +195,11 @@ class CellSummary:
 @dataclass(frozen=True)
 class ResultsTable:
     rows: tuple
-    summaries: tuple
+
+    @property
+    def summaries(self):
+        """`summarize(rows)`: a table's summaries always come from its rows."""
+        return tuple(summarize(self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +233,10 @@ def _draw_x0(config, cell_index, trial):
 
 
 def _run_task(args):
+    """Draw, solve and score one trial: the one place that scores an estimate against x0."""
     config, N, sigma, cell_index, trial = args
     x0 = _draw_x0(config, cell_index, trial)
+    R0 = float(np.linalg.norm(x0))
     noise = NoiseModel(config.noise.kind, sigma)
     sample_seed = sub_seed(config.master_seed, cell_index, trial, 1)
     solver_seed = sub_seed(config.master_seed, cell_index, trial, 2)
@@ -240,12 +245,9 @@ def _run_task(args):
     try:
         res = solve(sample, config.constraint_set, config.solver.config, solver_seed)
     except BudgetExceededError:  # a NaN row, not converged
-        res = TrialResult(None, math.nan, math.nan, math.nan, 0, False)
-    return TrialRow(
-        N=N, sigma=sigma, R0=float(np.linalg.norm(x0)), trial=trial,
-        product_error=res.product_error, sign_error=res.sign_error,
-        objective=res.objective_value, converged=bool(res.converged),
-    )
+        return TrialRow(N, sigma, R0, trial, math.nan, math.nan, math.nan, False)
+    prod, sign, _ = error_metrics(res.x_hat, x0)
+    return TrialRow(N, sigma, R0, trial, prod, sign, res.objective_value, bool(res.converged))
 
 
 def summarize(rows):
@@ -281,7 +283,7 @@ def run_experiment(config, threads=1):
             rows = list(pool.map(_run_task, tasks, chunksize=1))
     else:
         rows = [_run_task(t) for t in tasks]
-    return ResultsTable(tuple(rows), tuple(summarize(rows)))
+    return ResultsTable(tuple(rows))
 
 
 def fit_slope(table, x_axis, y):
@@ -331,7 +333,7 @@ def _csv_value(tp, text):
 
 
 def export_results(table, path):
-    """Write rows to CSV at `path` and summaries to `path`+'.summary.json'."""
+    """Write rows to CSV at `path` and their summaries to `path`+'.summary.json'."""
     path = str(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -344,7 +346,7 @@ def export_results(table, path):
 
 
 def load_results(path):
-    """Read back a table written by export_results."""
+    """Read back the rows written by export_results; the sidecar is not read."""
     path = str(path)
     rows = []
     with open(path, newline="") as fh:
@@ -360,16 +362,7 @@ def load_results(path):
                                         for name, text in zip(_CSV_HEADER, rec)}))
             except (ValueError, KeyError) as exc:
                 raise ConfigError(f"{path}:{lineno}: unparseable row field: {exc}") from exc
-    sidecar = path + ".summary.json"
-    if os.path.exists(sidecar):
-        payload = _read_json(sidecar)
-        if not isinstance(payload, list):
-            raise ConfigError(f"{sidecar}: expected a JSON array, got {type(payload).__name__}")
-        summaries = tuple(_from_plain(CellSummary, entry, f"{sidecar}[{i}]")
-                          for i, entry in enumerate(payload))
-    else:
-        summaries = tuple(summarize(rows))
-    return ResultsTable(tuple(rows), summaries)
+    return ResultsTable(tuple(rows))
 
 
 # The one JSON key that is not its field's name.

@@ -45,10 +45,10 @@ class ConstraintSet:
     def __post_init__(self):
         if self.kind not in SET_KINDS:
             raise ValueError(f"unknown set kind {self.kind!r}, expected one of {SET_KINDS}")
-        if int(self.n) < 1:
-            raise ValueError(f"set dimension must be >= 1, got {self.n}")
+        check_integer("n", self.n, 1)
         if self.kind == "sparse_cap":
-            if self.d is None or not (1 <= int(self.d) <= self.n):
+            check_integer("d", self.d, 1)
+            if self.d > self.n:
                 raise ValueError(f"sparse_cap needs 1 <= d <= n, got d={self.d}, n={self.n}")
         if self.kind in ("l1_ball", "l2_ball"):
             if self.radius is None or not 0 < self.radius < math.inf:
@@ -360,10 +360,9 @@ class FixedPointQuery:
     def __post_init__(self):
         if self.functional not in FUNCTIONALS:
             raise ValueError(f"unknown functional {self.functional!r}, expected one of {FUNCTIONALS}")
-        if not self.level > 0:
-            raise ValueError(f"level must be > 0, got {self.level}")
-        if int(self.N) < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        if not 0 < self.level < math.inf:
+            raise ValueError(f"level must be finite and > 0, got {self.level}")
+        check_integer("N", self.N, 1)
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}, expected one of {BACKENDS}")
         if self.functional in ("qN", "tN") and not (self.shell_R0 and self.shell_R0 > 0):

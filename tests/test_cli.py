@@ -89,6 +89,19 @@ def test_fixed_point_refuses_a_shell_it_does_not_read(capsys, functional):
         FixedPointQuery(functional, 1.0, 100, shell_R0=0.5)
 
 
+def test_fixed_point_refuses_a_non_finite_level(capsys):
+    # at level inf every functional's inequality holds at any radius, so each would return 0.0
+    code, out, err = _run(
+        capsys, "fixed-point", "--set", "l1_ball:16", "--functional", "rN",
+        "--level", "inf", "--N", "100",
+    )
+    assert code == 2
+    assert out == ""
+    assert "level must be finite and > 0, got inf" in err
+    with pytest.raises(ValueError, match="level must be finite"):
+        FixedPointQuery("sN", math.inf, 100)
+
+
 @pytest.mark.parametrize("draws", ["0", "-5"])
 def test_fixed_point_rejects_empty_monte_carlo_budget(capsys, draws):
     code, out, err = _run(
@@ -170,6 +183,13 @@ def test_simulate_seed_override_runs(capsys, config_path):
     code, out, _ = _run(capsys, "simulate", str(config_path), "--seed", "99")
     assert code == 0
     assert "median_sign_error" in out
+
+
+def test_simulate_refuses_a_negative_seed(capsys, config_path):
+    code, out, err = _run(capsys, "simulate", str(config_path), "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "master_seed must be >= 0, got -1" in err
 
 
 def test_simulate_missing_config(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Quartic ERM machinery: losses, gradients, solvers, error metrics."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -255,7 +256,7 @@ def test_pgd_recovers_sparse_signal_noise_free():
         s = generate_sample(x0, GAUSS(16), QUIET, 120, seed=6000 + trial)
         res = solve_pgd(s, cset, config, seed=trial)
         assert contains(cset, res.x_hat, tol=1e-8)
-        hits += res.sign_error <= 1e-6
+        hits += error_metrics(res.x_hat, x0)[1] <= 1e-6
     assert hits >= 95
 
 
@@ -270,7 +271,7 @@ def test_pgd_ambient_plane_recovery():
     x0 = np.array([1.0, 0.0])
     s = generate_sample(x0, GAUSS(2), QUIET, 200, seed=21)
     res = solve_pgd(s, ambient(2), SolverConfig(max_iterations=400, restarts=4), seed=1)
-    assert res.sign_error <= 1e-6
+    assert error_metrics(res.x_hat, x0)[1] <= 1e-6
     assert res.converged
 
 
@@ -455,7 +456,7 @@ def test_oracle_one_sparse_exact_recovery():
         x0[rng.integers(0, 6)] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
         s = generate_sample(x0, GAUSS(6), QUIET, 20, seed=9000 + trial)
         res = solve_oracle(s, sparse_cap(6, 1), SolverConfig(), seed=trial)
-        assert res.sign_error <= 1e-8
+        assert error_metrics(res.x_hat, x0)[1] <= 1e-8
         assert res.converged
 
 
@@ -522,7 +523,7 @@ def test_oracle_noise_free_recovery_through_the_per_block_screen():
     x0[[17, 63]] = [0.8, -0.6]
     s = generate_sample(x0, GAUSS(80), QUIET, 120, seed=606)
     res = solve_oracle(s, sparse_cap(80, 2), SolverConfig(), seed=0)
-    assert res.sign_error <= 1e-6
+    assert error_metrics(res.x_hat, x0)[1] <= 1e-6
 
 
 @pytest.mark.parametrize("cset", [l1_ball(2), l2_ball(2), ambient(2)], ids=lambda c: c.kind)
@@ -531,6 +532,28 @@ def test_oracle_refuses_non_sparse_sets(cset):
     s = generate_sample(np.array([0.8, -0.6]), GAUSS(2), QUIET, 100, seed=55)
     with pytest.raises(UnsupportedSetError, match="sparse_cap"):
         solve_oracle(s, cset, SolverConfig(restarts=2), seed=5)
+
+
+# PGD on both sides of the sparse-steps rule (N 256 dense, N 2048 sparse), and the oracle
+@pytest.mark.parametrize("solve, N, sparse_steps", [
+    (solve_pgd, 256, False), (solve_pgd, 2048, True), (solve_oracle, 40, None),
+], ids=["pgd-dense", "pgd-sparse", "oracle"])
+def test_solvers_do_not_read_x0(solve, N, sparse_steps):
+    # the estimator sees A and y only: blanking the sample's x0 changes nothing it returns
+    cset = sparse_cap(64, 2) if solve is solve_pgd else sparse_cap(10, 2)
+    if sparse_steps is not None:
+        assert erm._sparse_steps_pay(cset, N) == sparse_steps
+    x0 = np.zeros(cset.n)
+    x0[[1, cset.n - 2]] = [0.8, -0.6]
+    s = generate_sample(x0, GAUSS(cset.n), NoiseModel("gaussian", 0.2), N, seed=31)
+    blank = dataclasses.replace(s, x0=np.full(cset.n, np.nan))
+    config = SolverConfig(restarts=3)
+    a, b = solve(s, cset, config, seed=4), solve(blank, cset, config, seed=4)
+    assert [f.name for f in dataclasses.fields(a)] == [
+        "x_hat", "objective_value", "iterations_used", "converged"]
+    assert np.array_equal(a.x_hat, b.x_hat)
+    assert ((a.objective_value, a.iterations_used, a.converged)
+            == (b.objective_value, b.iterations_used, b.converged))
 
 
 # ---------------------------------------------------------------------------
