@@ -93,8 +93,7 @@ class PhaseSample:
 
 def draw_measurements(ensemble, N, seed):
     """Draw an (N, n) measurement matrix with i.i.d. rows from `ensemble`."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    check_integer("N", N, 1)
     return _draw_rows(ensemble, substream(seed, 0), N)
 
 
@@ -111,8 +110,7 @@ def _draw_rows(ensemble, rng, m):
 
 def draw_noise(model, N, seed):
     """Draw an N-vector of additive noise from `model`."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    check_integer("N", N, 1)
     rng = substream(seed, 1)
     if model.kind == "none" or model.scale == 0.0:
         return np.zeros(N)

@@ -273,30 +273,37 @@ _SUPPORT_TOLERANCE = 1e-12
 
 
 def _descend(steps, X, base_step, max_iter, tol, project=None):
-    """Descent of the loss from each row of X by backtracking steps, mapped by `project`.
+    """Spectral projected gradient descent of the loss from each row of X, mapped by
+    `project` (Birgin, Martinez & Raydan 2000).
 
     `steps` gives the loss and gradient at the rows: `_DenseSteps`, or `_SparseSteps` when
-    every iterate has few nonzeros.  None means no projection.  A step is accepted on
-    sufficient decrease (Armijo constant 1e-4); an accepted step grows the row's step size
-    by 1.1, a rejected one halves it.  Each row keeps its own step size, accept/reject
-    test, exits and iteration count; the live rows share each step's products, and a row
-    leaves them when it finishes.  Returns per-row (X, f, iterations, converged).
+    every iterate has few nonzeros.  None means no projection.  A trial point is accepted
+    on nonmonotone sufficient decrease: f_new <= max(the row's last 10 accepted objectives,
+    its start included) - 1e-4 ||dx||^2 / step.  After an accepted move dx, with dg the
+    change in the row's gradient, the next trial step is Barzilai & Borwein's <dx, dx> /
+    <dx, dg> (1.1 times the last one when <dx, dg> <= 0), clipped to [1e-6, 1e6] times
+    `base_step`; a rejected step halves.  So no accepted objective exceeds the start's.
+    Each row keeps its own step size, objective window, exits and iteration count; the live
+    rows share each step's products, and a row leaves them when it finishes.  Returns
+    per-row (X, f, iterations, converged), f the last accepted objective.
     """
     x = np.array(X, dtype=float, ndmin=2)
     k = x.shape[0]
     X, f, iters, conv = np.empty_like(x), np.empty(k), np.empty(k, dtype=int), np.empty(k, bool)
     live, step, it = np.arange(k), np.full(k, float(base_step)), np.ones(k, dtype=int)
     fx, pt = steps.at(x)
+    recent = np.repeat(fx[:, None], 10, axis=1)  # accepted objective m sits in column m % 10
     g = steps.gradient(*pt)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live.size:
             x_new = x - step[:, None] * g
             if project is not None:
                 x_new = project(x_new)
             f_new, pt = steps.at(x_new)
-            move2 = ((x_new - x) ** 2).sum(axis=1)
+            dx = x_new - x
+            move2 = (dx * dx).sum(axis=1)
             s = np.maximum(step, _TINY)
-            ok = np.isfinite(f_new) & (f_new <= fx - 1e-4 * move2 / s)
+            ok = np.isfinite(f_new) & (f_new <= recent.max(axis=1) - 1e-4 * move2 / s)
             x, fx = np.where(ok[:, None], x_new, x), np.where(ok, f_new, fx)
             # converged: an accepted step within tol, or a rejected one at the floor step
             stop = np.where(ok, np.sqrt(move2) / s <= tol, step <= 1e-16 * base_step)
@@ -307,15 +314,19 @@ def _descend(steps, X, base_step, max_iter, tol, project=None):
                 iters[rows], conv[rows] = it[done], stop[done]
                 if not keep.any():
                     break
-                live, x, fx, step, it, ok, g = (v[keep] for v in (live, x, fx, step, it, ok, g))
+                live, x, fx, step, it, ok, g, dx, move2, recent = (
+                    v[keep] for v in (live, x, fx, step, it, ok, g, dx, move2, recent))
                 pt = tuple(v[keep] for v in pt)
                 steps.keep(keep)
-            step = step * np.where(ok, 1.1, 0.5)
+            recent[ok, it[ok] % 10] = fx[ok]
             it += ok
-            if ok.all():
-                g = steps.gradient(*pt)
-            elif ok.any():
-                g[ok] = steps.gradient(*(v[ok] for v in pt))
+            step[~ok] *= 0.5
+            if ok.any():
+                g_new = steps.gradient(*(pt if ok.all() else (v[ok] for v in pt)))
+                dxdg = (dx[ok] * (g_new - g[ok])).sum(axis=1)
+                bb = np.where(dxdg > 0, move2[ok] / dxdg, 1.1 * step[ok])
+                step[ok] = np.clip(bb, 1e-6 * base_step, 1e6 * base_step)
+                g[ok] = g_new
     return X, f, iters, conv
 
 

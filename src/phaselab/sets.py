@@ -307,8 +307,8 @@ def mean_width_mc(cset, r, gaussian_draws, seed):
     """Monte Carlo gaussian mean width of the cap: E sup |<G, t>|."""
     if not r > 0:
         raise ValueError(f"cap radius must be > 0, got {r}")
-    if gaussian_draws < 2:
-        raise ValueError(f"need at least 2 gaussian draws, got {gaussian_draws}")
+    check_integer("gaussian_draws", gaussian_draws, 2)
+    check_integer("seed", seed, 0)
     vals = _cap_support(cset, substream(seed).standard_normal((gaussian_draws, cset.n)))(r)
     return WidthEstimate(
         value=float(vals.mean()),
@@ -683,8 +683,8 @@ def packing_count(cset, center, ball_radius, separation, shell_R0=None,
         raise ValueError(f"separation must be > 0, got {separation}")
     if not ball_radius > 0:
         raise ValueError(f"ball_radius must be > 0, got {ball_radius}")
-    if candidates < 1:
-        raise ValueError(f"candidates must be >= 1, got {candidates}")
+    check_integer("candidates", candidates, 1)
+    check_integer("seed", seed, 0)
     if shell_R0 is not None and not shell_R0 >= 0:
         raise ValueError(f"shell_R0 must be >= 0, got {shell_R0}")
 

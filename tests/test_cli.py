@@ -124,6 +124,17 @@ def test_packing_rejects_bad_shell_radius(capsys, shell_R0):
     assert "shell_R0 must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("width", "--set", "l2_ball:3", "--r", "1.0", "--draws", "100"),
+    ("packing", "--set", "l2_ball:3", "--ball-radius", "1", "--separation", "0.1"),
+], ids=["width", "packing"])
+def test_monte_carlo_commands_refuse_a_negative_seed(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "seed must be >= 0, got -1" in err
+
+
 def test_packing_golf_ball(capsys):
     code, out, _ = _run(
         capsys, "packing", "--set", "l2_ball:2:1.0", "--ball-radius", "0.4",

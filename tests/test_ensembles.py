@@ -115,6 +115,19 @@ def test_generate_sample_dimension_mismatch():
                         10, seed=0)
 
 
+@pytest.mark.parametrize("draw", [
+    lambda N: generate_sample(np.zeros(3), Ensemble("standard_gaussian", 3),
+                              NoiseModel("gaussian", 0.1), N, 1),
+    lambda N: draw_noise(NoiseModel("gaussian", 0.1), N, 1),
+    lambda N: draw_measurements(Ensemble("standard_gaussian", 3), N, 1),
+], ids=["generate_sample", "draw_noise", "draw_measurements"])
+def test_draws_refuse_a_non_integer_N(draw):
+    with pytest.raises(ValueError, match="N: expected an integer, got 10.5"):
+        draw(10.5)
+    with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+        draw(0)
+
+
 def test_product_moment_for_hand_pairs():
     # the small-ball product moment E|<a,s><a,t>| for two unit pairs.
     # s = t unit: E<a,s>^2 = 1.  s perpendicular to t: E|g1 g2| = 2/pi.

@@ -347,6 +347,46 @@ def test_batched_descent_rows_are_independent(cset, tables, seed, k, sigma):
         np.testing.assert_array_equal(got, want[perm])
 
 
+@pytest.mark.parametrize(
+    "cset, tables",
+    [(sparse_cap(6, 2), False), (l1_ball(6, 1.5), False), (l2_ball(6, 2.0), False),
+     (ambient(6), False), (sparse_cap(6, 2), True)],
+    ids=["sparse_cap", "l1_ball", "l2_ball", "ambient", "sparse_cap_tables"],
+)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.sampled_from([0.1, 1.0]))
+def test_accepted_objectives_meet_the_nonmonotone_test(cset, tables, seed, sigma):
+    # a descent capped at m accepted steps returns the m-th accepted point, so the runs
+    # m = 1, 2, ... of one row trace its accepted objectives f_m.  Each must lie below
+    # the largest of the row's previous <= 10 (its start's included) less 1e-4 ||dx||^2 / s,
+    # taken at the largest trial step s the rule allows, 1e6 base_step; and none may
+    # exceed the start's
+    rng = np.random.default_rng(seed)
+    x0 = random_feasible(cset, rng, 1)[0]
+    s = generate_sample(x0, GAUSS(6), NoiseModel("gaussian", sigma), 40, seed=seed)
+    start = project(cset, 2.0 * rng.standard_normal((1, 6)))
+    base_step = 0.1 / max(float(spectral_init(s) @ spectral_init(s)), 1e-12)
+    M = erm._spectral_matrix(s.A, s.y)
+
+    def steps():
+        return erm._SparseSteps(s.A, s.y, M) if tables else erm._DenseSteps(s.A, s.y)
+
+    xs, fs = [start[0]], [float(steps().at(start)[0][0])]
+    for m in range(1, 41):
+        X, f, iters, conv = erm._descend(steps(), start, base_step, m, 1e-8,
+                                         functools.partial(project, cset))
+        if iters[0] < m:
+            break
+        move2 = float(((X[0] - xs[-1]) ** 2).sum())
+        assert f[0] <= max(fs[-10:]) - 1e-4 * move2 / max(1e6 * base_step, erm._TINY)
+        assert f[0] <= fs[0]
+        xs.append(X[0])
+        fs.append(float(f[0]))
+        if conv[0]:
+            break
+    assert len(fs) >= 2
+
+
 def _sparse_points(rng, n, d, k):
     """k points with at most d nonzeros: the zero row first, then random supports of
     every size from 0 to d."""

@@ -617,6 +617,17 @@ def test_width_mc_validation():
         mean_width_mc(l1_ball(4, 1.0), 1.0, 1, seed=0)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 100.5, 0), "gaussian_draws: expected an integer, got 100.5"),
+    ((1.0, 1, 0), "gaussian_draws must be >= 2, got 1"),
+    ((1.0, 100, -1), "seed must be >= 0, got -1"),
+    ((1.0, 100, 0.5), "seed: expected an integer, got 0.5"),
+], ids=["draws-float", "draws-one", "seed-negative", "seed-float"])
+def test_width_mc_refuses_bad_integers(args, message):
+    with pytest.raises(ValueError, match=message):
+        mean_width_mc(l2_ball(3), *args)
+
+
 @pytest.mark.parametrize("field", ["draws", "candidates", "centers"])
 @pytest.mark.parametrize("value", [0, -5])
 def test_mc_config_rejects_empty_budgets(field, value):
@@ -1129,6 +1140,16 @@ def test_packing_rejects_bad_shell_radius(shell_R0):
     with pytest.raises(ValueError, match="shell_R0 must be >= 0"):
         packing_count(l2_ball(8, 1.0), np.zeros(8), ball_radius=1.0, separation=0.1,
                       shell_R0=shell_R0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"candidates": 100.5}, "candidates: expected an integer, got 100.5"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"seed": 0.5}, "seed: expected an integer, got 0.5"),
+], ids=["candidates-float", "seed-negative", "seed-float"])
+def test_packing_refuses_bad_integers(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        packing_count(l2_ball(3), np.zeros(3), ball_radius=1.0, separation=0.1, **kwargs)
 
 
 def test_packing_validation():
