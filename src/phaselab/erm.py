@@ -33,13 +33,23 @@ def _loss(r):
     return np.einsum("...i,...i->...", r, r) / r.shape[-1]
 
 
-def _loss_gradient(A, z, r):
-    """(4/N) sum r_i z_i a_i: the loss gradient at x, given z = A x and r = z^2 - y; row-wise.
+def _loss_gradient(A, rz):
+    """(4/N) sum r_i z_i a_i: the loss gradient at x, given rz = r z with z = A x and
+    r = z^2 - y; row-wise.
 
     A column-major left factor keeps each row's result independent of the other rows; so
     does it in `_DenseSteps.at`.
     """
-    return (4.0 / A.shape[0]) * (np.asfortranarray(r * z) @ A)
+    return (4.0 / A.shape[0]) * (np.asfortranarray(rz) @ A)
+
+
+def _loss_at(z, y):
+    """The loss at the predictions z = A x, and r z with r = z^2 - y, formed in place:
+    all that the gradient needs; row-wise on a stack."""
+    r = _residual(z, y)
+    f = _loss(r)
+    r *= z
+    return f, r
 
 
 def objective(sample, x):
@@ -50,7 +60,7 @@ def objective(sample, x):
 def gradient(sample, x):
     """Analytic gradient: (4/N) sum (<a_i,x>^2 - y_i) <a_i,x> a_i."""
     z = sample.A @ np.asarray(x, dtype=float)
-    return _loss_gradient(sample.A, z, _residual(z, sample.y))
+    return _loss_gradient(sample.A, _residual(z, sample.y) * z)
 
 
 def excess_loss_parts(sample, x, x0):
@@ -147,24 +157,13 @@ def _sparse_steps_pay(cset, N):
     """Whether PGD on `cset` with N measurements runs `_SparseSteps`: on sparse_cap, when
     N n >= 2^13 max(16, C(d+2, 3)).
 
-    The sparse steps save two O(N n) products per restart-step, but pay a fixed cost in
-    support bookkeeping per step and a table build of about C(d+2, 3) dense gradients per
-    recurring support.  The rule is fitted to wall times of 4 trials of 8 restarts at 32
-    cells (n 16-256, d 1-6, N 512-16384; see CHANGES.md): it never picks the sparse steps
-    where they were the slower form, and it misses at most a 25% gain near its boundary.
+    The sparse steps save one O(N n) product per row-step, z = A x, but pay a fixed cost
+    per step in support bookkeeping and in regathering the columns of a row whose support
+    moved.  The rule was fitted to wall times of 4 trials of 8 restarts at 32 cells (n
+    16-256, d 1-6, N 512-16384), and re-timed at 8 of them (see CHANGES.md): it never
+    picks the sparse steps where they are the slower form.
     """
     return cset.kind == "sparse_cap" and N * cset.n >= 2**13 * max(16, math.comb(cset.d + 2, 3))
-
-
-@functools.lru_cache(maxsize=16)
-def _triples(w):
-    """Index triples p <= q <= r < w and the number of orderings of each (1, 3 or 6).
-
-    Sorted by r, then q, then p, so the triples of a narrower width come first.
-    """
-    t = sorted(itertools.combinations_with_replacement(range(w), 3), key=lambda t: t[::-1])
-    p, q, r = np.array(t, dtype=np.intp).reshape(-1, 3).T
-    return p, q, r, np.array([(0.0, 1.0, 3.0, 6.0)[len(set(u))] for u in t])
 
 
 class _DenseSteps:
@@ -174,41 +173,31 @@ class _DenseSteps:
         self.A, self.y = A, y
 
     def at(self, x):
-        """The loss at the rows of x, and what their gradient needs: z = A x and r = z^2 - y."""
-        z = np.asfortranarray(x) @ self.A.T
-        r = _residual(z, self.y)
-        return _loss(r), (z, r)
+        """The loss at the rows of x, and what their gradient needs: r z, with z = A x and
+        r = z^2 - y."""
+        return _loss_at(np.asfortranarray(x) @ self.A.T, self.y)
 
-    def gradient(self, z, r):
-        return _loss_gradient(self.A, z, r)
+    def gradient(self, rz):
+        return _loss_gradient(self.A, rz)
 
     def keep(self, rows):
         pass
 
 
-class _SparseSteps:
-    """The loss and gradient of a descent step at sparse points: O(N s) per row with s nonzeros.
+class _SparseSteps(_DenseSteps):
+    """The steps of `_DenseSteps` at sparse points, with z = A x in O(N s) per row with s
+    nonzeros: from each row's own columns of A, kept while the row's support stays the
+    same.  The gradient is the dense product."""
 
-    z = A x comes from each row's own columns of A, kept while the row's support stays
-    the same.  With M the spectral matrix, the gradient (4/N) sum (z_i^2 - y_i) z_i a_i
-    is 4 (sum_{p<=q<=r in S} x_p x_q x_r T_S[pqr] - M[:, S] x_S) on the support S, where
-    T_S[pqr] = (orderings/N) sum_i a_ip a_iq a_ir a_i.  A table costs about C(s+2, 3)
-    dense gradients to build, and a gradient from it O(n C(s+2, 3)).  At a support not
-    met before in the call, the gradient is the dense product, O(N n); the table is built
-    when the support recurs and kept for the call, so a support met once costs no build.
-    """
-
-    def __init__(self, A, y, M):
-        self.A, self.y, self.M, self.tables, self.seen = A, y, M, {}, set()
+    def __init__(self, A, y):
+        super().__init__(A, y)
         self.S = self.cols = None  # supports and columns of the rows last evaluated
 
     def at(self, x):
-        """The loss at the rows of x, and what their gradient needs: each row's nonzero
-        columns S in order, padded to one width with columns where the row is zero; its
-        values xs there; and its number of nonzeros."""
+        """As `_DenseSteps.at`, from each row's nonzero columns S in order, padded to one
+        width with columns where the row is zero, and its values xs there."""
         nz = x != 0
-        counts = nz.sum(axis=1)
-        S = np.argsort(~nz, axis=1, kind="stable")[:, :counts.max(initial=0)]
+        S = np.argsort(~nz, axis=1, kind="stable")[:, :nz.sum(axis=1).max(initial=0)]
         xs = x[np.arange(len(x))[:, None], S]
         if self.S is None or self.S.shape != S.shape:
             self.cols = self.A.T[S]
@@ -216,10 +205,7 @@ class _SparseSteps:
             for row in np.flatnonzero((S != self.S).any(axis=1)):
                 self.cols[row] = self.A.T[S[row]]
         self.S = S
-        r = (xs[:, None, :] @ self.cols)[:, 0]  # z = A x, squared less y in place
-        r *= r
-        r -= self.y
-        return _loss(r), (S, xs, counts)
+        return _loss_at((xs[:, None, :] @ self.cols)[:, 0], self.y)
 
     def keep(self, rows):
         # move the kept rows' columns up in place, again with no second copy
@@ -228,40 +214,6 @@ class _SparseSteps:
             if to != row:
                 self.cols[to] = self.cols[row]
         self.S, self.cols = self.S[kept], self.cols[:kept.size]
-
-    def _table(self, supp):
-        key = supp.tobytes()
-        T = self.tables.get(key)
-        if T is None:
-            p, q, r, orderings = _triples(supp.size)
-            T = np.zeros((p.size, self.A.shape[1]))
-            for start in range(0, self.A.shape[0], 1024):  # a_p a_q a_r for 1024 rows at a time
-                rows = self.A[start:start + 1024]
-                cols = rows[:, supp]
-                P = cols[:, p] * cols[:, q]
-                P *= cols[:, r]
-                T += P.T @ rows
-            T *= (orderings / self.A.shape[0])[:, None]
-            self.tables[key] = T
-        return T
-
-    def gradient(self, S, xs, counts):
-        p, q, r, _ = _triples(S.shape[1])
-        T = np.zeros((len(S), p.size, self.A.shape[1]))
-        supps = [row[:s] for row, s in zip(S, counts)]
-        # a support not met before this call: the same for every row on it, whatever their order
-        first = np.array([supp.tobytes() not in self.seen for supp in supps], dtype=bool)
-        for Ti, supp, new in zip(T, supps, first):
-            if not new:
-                table = self._table(supp)
-                Ti[:len(table)] = table
-        self.seen.update(supp.tobytes() for supp in supps)
-        c = xs[:, p] * xs[:, q] * xs[:, r]
-        g = 4.0 * ((c[:, None, :] @ T)[:, 0] - (xs[:, None, :] @ self.M.T[S])[:, 0])
-        for i in np.flatnonzero(first):  # one row at a time: no (k, N) temporaries
-            z = xs[i] @ self.A.T[S[i]]
-            g[i] = _loss_gradient(self.A, z, _residual(z, self.y))
-        return g
 
 
 # A descent has converged when an accepted step moves x by at most tol times its step size.
@@ -291,15 +243,15 @@ def _descend(steps, X, base_step, max_iter, tol, project=None):
     k = x.shape[0]
     X, f, iters, conv = np.empty_like(x), np.empty(k), np.empty(k, dtype=int), np.empty(k, bool)
     live, step, it = np.arange(k), np.full(k, float(base_step)), np.ones(k, dtype=int)
-    fx, pt = steps.at(x)
+    fx, rz = steps.at(x)
     recent = np.repeat(fx[:, None], 10, axis=1)  # accepted objective m sits in column m % 10
-    g = steps.gradient(*pt)
+    g = steps.gradient(rz)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live.size:
             x_new = x - step[:, None] * g
             if project is not None:
                 x_new = project(x_new)
-            f_new, pt = steps.at(x_new)
+            f_new, rz = steps.at(x_new)
             dx = x_new - x
             move2 = (dx * dx).sum(axis=1)
             s = np.maximum(step, _TINY)
@@ -316,13 +268,13 @@ def _descend(steps, X, base_step, max_iter, tol, project=None):
                     break
                 live, x, fx, step, it, ok, g, dx, move2, recent = (
                     v[keep] for v in (live, x, fx, step, it, ok, g, dx, move2, recent))
-                pt = tuple(v[keep] for v in pt)
+                rz = rz[keep]
                 steps.keep(keep)
             recent[ok, it[ok] % 10] = fx[ok]
             it += ok
             step[~ok] *= 0.5
             if ok.any():
-                g_new = steps.gradient(*(pt if ok.all() else (v[ok] for v in pt)))
+                g_new = steps.gradient(rz if ok.all() else rz[ok])
                 dxdg = (dx[ok] * (g_new - g[ok])).sum(axis=1)
                 bb = np.where(dxdg > 0, move2[ok] / dxdg, 1.1 * step[ok])
                 step[ok] = np.clip(bb, 1e-6 * base_step, 1e6 * base_step)
@@ -354,7 +306,7 @@ def solve_pgd(sample, cset, config, seed):
             z = project(cset, z * (norm0 / nz))
         starts.append(z)
 
-    steps = (_SparseSteps(sample.A, sample.y, M) if _sparse_steps_pay(cset, sample.N)
+    steps = (_SparseSteps(sample.A, sample.y) if _sparse_steps_pay(cset, sample.N)
              else _DenseSteps(sample.A, sample.y))
     X, f, iters, conv = _descend(steps, np.array(starts), base_step, config.max_iterations,
                                  _PGD_TOLERANCE, functools.partial(project, cset))

@@ -19,8 +19,8 @@ import numpy as np
 from .ensembles import Ensemble, NoiseModel, generate_sample, sub_seed, substream
 from .erm import SolverConfig, error_metrics, solve_oracle, solve_pgd
 from .errors import BudgetExceededError, ConfigError, InsufficientDataError, check_integer
-from .sets import (ConstraintSet, FixedPointQuery, fixed_point, l1_ball, random_feasible,
-                   sparse_cap, toward_shell)
+from .sets import (ConstraintSet, FixedPointQuery, contains, fixed_point, l1_ball,
+                   random_feasible, sparse_cap, toward_shell)
 
 @dataclass(frozen=True)
 class RatePrediction:
@@ -160,13 +160,21 @@ class ExperimentConfig:
                               "level; write 0.0 or leave it out")
         if max(self.sigma_grid) > 0 and self.noise.kind == "none":
             raise ValueError("sigma_grid has positive entries but the noise kind is 'none'")
-        if self.x0_spec.mode == "explicit" and len(self.x0_spec.vector) != self.constraint_set.n:
+        spec, cset = self.x0_spec, self.constraint_set
+        if spec.mode == "explicit" and len(spec.vector) != cset.n:
             raise ValueError("explicit x0 has the wrong dimension")
-        if self.x0_spec.mode == "random_sparse" and self.x0_spec.d > self.constraint_set.n:
-            raise ValueError(f"random_sparse d={self.x0_spec.d} exceeds dimension "
-                             f"{self.constraint_set.n}")
-        if self.solver.kind == "oracle" and self.constraint_set.kind != "sparse_cap":
-            raise ConfigError(f"the oracle solves sparse_cap only, not {self.constraint_set.kind}")
+        if spec.mode == "explicit" and not contains(cset, spec.vector):
+            raise ValueError(f"explicit x0 lies outside the {cset.kind}")
+        # a point of norm R0 has l1 and l2 norms >= R0
+        if spec.mode != "explicit" and cset.kind.endswith("_ball") and spec.R0 > cset.radius:
+            raise ValueError(f"{spec.mode} R0={spec.R0} exceeds the {cset.kind}'s radius "
+                             f"{cset.radius}: no x0 lies in the set")
+        if spec.mode == "random_sparse" and spec.d > cset.n:
+            raise ValueError(f"random_sparse d={spec.d} exceeds dimension {cset.n}")
+        if spec.mode == "random_sparse" and cset.kind == "sparse_cap" and spec.d > cset.d:
+            raise ValueError(f"random_sparse d={spec.d} exceeds the sparse_cap's d={cset.d}")
+        if self.solver.kind == "oracle" and cset.kind != "sparse_cap":
+            raise ConfigError(f"the oracle solves sparse_cap only, not {cset.kind}")
 
 
 @dataclass(frozen=True)
@@ -220,16 +228,15 @@ def _draw_x0(config, cell_index, trial):
         supp = rng.choice(n, size=spec.d, replace=False)
         vals = rng.standard_normal(spec.d)
         x0[supp] = vals * (spec.R0 / np.linalg.norm(vals))
-        return x0
-    # random_on_shell
-    z = random_feasible(cset, rng, 1)
-    z = toward_shell(cset, z, spec.R0)[0]
-    nrm = float(np.linalg.norm(z))
-    if abs(nrm - spec.R0) > 1e-8 * max(1.0, spec.R0):
-        raise ValueError(
-            f"could not place x0 on the shell ||x||={spec.R0} inside the {cset.kind}"
-        )
-    return z
+    else:  # random_on_shell
+        x0 = toward_shell(cset, random_feasible(cset, rng, 1), spec.R0)[0]
+        if abs(float(np.linalg.norm(x0)) - spec.R0) > 1e-8 * max(1.0, spec.R0):
+            raise ValueError(f"cell {cell_index}, trial {trial}: could not place x0 on the "
+                             f"shell ||x||={spec.R0} inside the {cset.kind}")
+    if not contains(cset, x0):
+        raise ValueError(f"cell {cell_index}, trial {trial}: the drawn x0 lies outside the "
+                         f"{cset.kind}")
+    return x0
 
 
 def _run_task(args):

@@ -602,8 +602,7 @@ def _packing_phi(cset, R0, mc):
 
     def phi(r):
         ball = _C0_PACKING * r
-        counts = [packing_count(cset, c, ball, r, shell_R0=R0,
-                                candidate_points=_place_candidates(cset, c, D, ball * w, R0))
+        counts = [_greedy_count(cset, c, ball, r, R0, _place_candidates(cset, c, D, ball * w, R0))
                   for c, (D, w) in zip(centers, draws)]
         return r * math.sqrt(math.log(max([1, *counts])))
 
@@ -666,17 +665,16 @@ def fixed_point(cset, query, mc=None):
 
 
 def packing_count(cset, center, ball_radius, separation, shell_R0=None,
-                  candidates=1024, seed=0, candidate_points=None):
+                  candidates=1024, seed=0):
     """Greedy lower bound on the packing number of a localized piece of the set.
 
     Counts a maximal subset of candidate points, pairwise >= separation
     apart, drawn from {x in set : ||x - center|| <= ball_radius} further
-    restricted to ||x|| within 1% of shell_R0 when given.  Unless
-    `candidate_points` supplies them, the candidates are the centre and
-    `candidates` uniform draws from the ball around it, each mapped toward
-    the shell (or projected onto the set when no positive shell_R0 is given);
-    the membership, ball and shell filters then drop those that miss.
-    Returns 0 if nothing feasible survives.
+    restricted to ||x|| within 1% of shell_R0 when given.  The candidates are
+    the centre and `candidates` uniform draws from the ball around it, each
+    mapped toward the shell (or projected onto the set when no positive
+    shell_R0 is given); the membership, ball and shell filters then drop those
+    that miss.  Returns 0 if nothing feasible survives.
     """
     center = _check_vector(cset, center)
     if not separation > 0:
@@ -687,15 +685,14 @@ def packing_count(cset, center, ball_radius, separation, shell_R0=None,
     check_integer("seed", seed, 0)
     if shell_R0 is not None and not shell_R0 >= 0:
         raise ValueError(f"shell_R0 must be >= 0, got {shell_R0}")
+    D, w = _candidate_draws(cset.n, candidates, seed)
+    return _greedy_count(cset, center, ball_radius, separation, shell_R0,
+                         _place_candidates(cset, center, D, ball_radius * w, shell_R0))
 
-    if candidate_points is None:
-        D, w = _candidate_draws(cset.n, candidates, seed)
-        pts = _place_candidates(cset, center, D, ball_radius * w, shell_R0)
-    else:
-        pts = np.atleast_2d(np.asarray(candidate_points, dtype=float))
-        if pts.shape[1] != cset.n:
-            raise ValueError(f"candidate_points must have {cset.n} columns, got {pts.shape[1]}")
 
+def _greedy_count(cset, center, ball_radius, separation, shell_R0, pts):
+    """`packing_count` over the placed candidate rows `pts`: the greedy count of those
+    that pass its membership, ball and shell filters."""
     keep = contains(cset, pts, tol=1e-9)
     dist = np.linalg.norm(pts - center[None, :], axis=1)
     keep &= dist <= ball_radius * (1.0 + 1e-12) + 1e-12

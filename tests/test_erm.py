@@ -298,7 +298,7 @@ def test_pgd_never_increases_from_its_start():
 @given(seed=st.integers(0, 2**32 - 1), N=st.integers(8, 60),
        sigma=st.sampled_from([0.0, 0.1, 1.0]), restarts=st.integers(1, 3))
 def test_pgd_never_ends_above_its_projected_spectral_start(cset, seed, N, sigma, restarts):
-    # backtracking only accepts decreases, and the best restart can only be lower
+    # no accepted objective exceeds the start's, and the best restart can only be lower
     x0 = random_feasible(cset, np.random.default_rng(seed), 1)[0]
     noise = NoiseModel("gaussian", sigma) if sigma > 0 else QUIET
     s = generate_sample(x0, GAUSS(6), noise, N, seed=seed)
@@ -308,29 +308,28 @@ def test_pgd_never_ends_above_its_projected_spectral_start(cset, seed, N, sigma,
 
 
 @pytest.mark.parametrize(
-    "cset, tables",
+    "cset, sparse",
     [(sparse_cap(6, 2), False), (l1_ball(6, 1.5), False), (l2_ball(6, 2.0), False),
      (ambient(6), False), (sparse_cap(6, 2), True)],
     ids=["sparse_cap", "l1_ball", "l2_ball", "ambient", "sparse_cap_tables"],
 )
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6), sigma=st.sampled_from([0.1, 1.0]))
-def test_batched_descent_rows_are_independent(cset, tables, seed, k, sigma):
+def test_batched_descent_rows_are_independent(cset, sparse, seed, k, sigma):
     # a k-row product rounds differently from a one-row product, and over a full
     # run a backtracking, projected descent can turn that into another accept or
     # reject and another local minimum; so a batch row is compared with its solo
     # run over a short horizon only, behind a zero row (stationary: it leaves at
     # iteration 1), and a full run must commute with permuting the rows exactly.
-    # With `tables` the kernel runs the sparse steps, which read the spectral matrix
+    # With `sparse` (id sparse_cap_tables) the kernel runs the sparse steps
     rng = np.random.default_rng(seed)
     x0 = random_feasible(cset, rng, 1)[0]
     s = generate_sample(x0, GAUSS(6), NoiseModel("gaussian", sigma), 40, seed=seed)
     starts = project(cset, 2.0 * rng.standard_normal((k, 6)))
     base_step = 0.1 / max(float(spectral_init(s) @ spectral_init(s)), 1e-12)
-    M = erm._spectral_matrix(s.A, s.y)
 
     def run(X, max_iter):
-        steps = erm._SparseSteps(s.A, s.y, M) if tables else erm._DenseSteps(s.A, s.y)
+        steps = erm._SparseSteps(s.A, s.y) if sparse else erm._DenseSteps(s.A, s.y)
         return erm._descend(steps, X, base_step, max_iter, 1e-8, functools.partial(project, cset))
 
     _, f, iters, conv = run(np.vstack([np.zeros(6), starts]), 5)
@@ -348,28 +347,27 @@ def test_batched_descent_rows_are_independent(cset, tables, seed, k, sigma):
 
 
 @pytest.mark.parametrize(
-    "cset, tables",
+    "cset, sparse",
     [(sparse_cap(6, 2), False), (l1_ball(6, 1.5), False), (l2_ball(6, 2.0), False),
      (ambient(6), False), (sparse_cap(6, 2), True)],
     ids=["sparse_cap", "l1_ball", "l2_ball", "ambient", "sparse_cap_tables"],
 )
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), sigma=st.sampled_from([0.1, 1.0]))
-def test_accepted_objectives_meet_the_nonmonotone_test(cset, tables, seed, sigma):
+def test_accepted_objectives_meet_the_nonmonotone_test(cset, sparse, seed, sigma):
     # a descent capped at m accepted steps returns the m-th accepted point, so the runs
     # m = 1, 2, ... of one row trace its accepted objectives f_m.  Each must lie below
     # the largest of the row's previous <= 10 (its start's included) less 1e-4 ||dx||^2 / s,
     # taken at the largest trial step s the rule allows, 1e6 base_step; and none may
-    # exceed the start's
+    # exceed the start's.  With `sparse` (id sparse_cap_tables) it runs the sparse steps
     rng = np.random.default_rng(seed)
     x0 = random_feasible(cset, rng, 1)[0]
     s = generate_sample(x0, GAUSS(6), NoiseModel("gaussian", sigma), 40, seed=seed)
     start = project(cset, 2.0 * rng.standard_normal((1, 6)))
     base_step = 0.1 / max(float(spectral_init(s) @ spectral_init(s)), 1e-12)
-    M = erm._spectral_matrix(s.A, s.y)
 
     def steps():
-        return erm._SparseSteps(s.A, s.y, M) if tables else erm._DenseSteps(s.A, s.y)
+        return erm._SparseSteps(s.A, s.y) if sparse else erm._DenseSteps(s.A, s.y)
 
     xs, fs = [start[0]], [float(steps().at(start)[0][0])]
     for m in range(1, 41):
@@ -402,26 +400,23 @@ def _sparse_points(rng, n, d, k):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 4),
        N=st.integers(1, 60), sigma=st.sampled_from([0.0, 0.5, 2.0]))
 def test_table_gradient_equals_the_dense_gradient(seed, n, d, N, sigma):
-    # the sparse steps' gradient is the analytic gradient to rounding: within 1e-12 of
-    # the sum of the absolute terms (4/N) sum (|z_i|^3 + |y_i z_i|) |a_ij|, both on a
-    # support's first visit (the dense product) and on its second, where it is
-    # 4 (sum x_p x_q x_r T_S[pqr] - M[:, S] x_S).  A wrong ordering count in a table or
-    # a flipped sign on the M term fails it
+    # the sparse steps' gradient, the dense product from z = A x on each row's own
+    # columns, is the analytic gradient to rounding: within 1e-12 of the sum of the
+    # absolute terms (4/N) sum (|z_i|^3 + |y_i z_i|) |a_ij|.  A column gathered for the
+    # wrong coordinate, or a padding column counted, fails it
     d = min(d, n)
     rng = np.random.default_rng(seed)
     x0 = _sparse_points(rng, n, d, 2)[1]
     noise = NoiseModel("gaussian", sigma) if sigma > 0 else QUIET
     s = generate_sample(x0, GAUSS(n), noise, N, seed=seed)
     X = _sparse_points(rng, n, d, 6)
-    steps = erm._SparseSteps(s.A, s.y, erm._spectral_matrix(s.A, s.y))
-    f, pt = steps.at(X)
-    first, second = steps.gradient(*pt), steps.gradient(*pt)
-    assert len(steps.tables) == len({x.nonzero()[0].tobytes() for x in X})
+    steps = erm._SparseSteps(s.A, s.y)
+    f, rz = steps.at(X)
+    g = steps.gradient(rz)
     for i, x in enumerate(X):
         z = s.A @ x
         terms = (4.0 / N) * ((np.abs(z) ** 3 + np.abs(s.y * z)) @ np.abs(s.A))
-        for g in (first, second):
-            assert np.all(np.abs(g[i] - gradient(s, x)) <= 1e-12 * terms)
+        assert np.all(np.abs(g[i] - gradient(s, x)) <= 1e-12 * terms)
         assert f[i] == pytest.approx(objective(s, x), rel=1e-12, abs=0.0)
 
 
@@ -440,7 +435,7 @@ def test_sparse_steps_end_where_dense_steps_end(seed, n, d, sigma):
     base_step = 0.1 / max(float(spectral_init(s) @ spectral_init(s)), 1e-12)
     runs = [erm._descend(steps, starts, base_step, 300, 1e-8, functools.partial(project, cset))
             for steps in (erm._DenseSteps(s.A, s.y),
-                          erm._SparseSteps(s.A, s.y, erm._spectral_matrix(s.A, s.y)))]
+                          erm._SparseSteps(s.A, s.y))]
     np.testing.assert_allclose(runs[1][1], runs[0][1], rtol=1e-12, atol=0.0)
 
 
@@ -572,6 +567,14 @@ def test_oracle_refuses_non_sparse_sets(cset):
     s = generate_sample(np.array([0.8, -0.6]), GAUSS(2), QUIET, 100, seed=55)
     with pytest.raises(UnsupportedSetError, match="sparse_cap"):
         solve_oracle(s, cset, SolverConfig(restarts=2), seed=5)
+
+
+@pytest.mark.parametrize("N, sparse_steps", [
+    (512, False), (1024, False), (2048, False), (4096, True), (8192, True)])
+def test_sparse_steps_rule_splits_the_pgd_benchmark_sweep(N, sparse_steps):
+    # the benchmark's PGD sweep on sparse_cap(64, 4) keeps cells on both sides of the
+    # rule: dense steps up to N = 2048, sparse steps from N = 4096
+    assert erm._sparse_steps_pay(sparse_cap(64, 4), N) == sparse_steps
 
 
 # PGD on both sides of the sparse-steps rule (N 256 dense, N 2048 sparse), and the oracle

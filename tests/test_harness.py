@@ -39,6 +39,7 @@ from phaselab import (
     predict_rate,
     predict_rate_l1,
     predict_rate_sparse,
+    project,
     run_experiment,
     save_config,
     sparse_cap,
@@ -603,16 +604,50 @@ def test_rows_carry_the_requested_shell_norm():
 
 @pytest.mark.parametrize("cset", [l1_ball(6, 1.0), l2_ball(6, 1.0)], ids=lambda c: c.kind)
 def test_random_on_shell_draw_rejects_an_unreachable_shell(cset):
-    # no point of either ball has a norm above its radius
+    # no point of either ball has a norm above its radius, so the config is refused
+    # when it is built, before any trial runs
+    with pytest.raises(ValueError, match="R0=1.5 exceeds .* no x0 lies in the set"):
+        _sparse_config(
+            constraint_set=cset,
+            ensemble=Ensemble("standard_gaussian", 6),
+            x0_spec=X0Spec(mode="random_on_shell", R0=1.5),
+            N_grid=(20,),
+            solver=SolverSpec(kind="pgd"),
+        )
+
+
+@pytest.mark.parametrize("cset, x0_spec, message", [
+    (l2_ball(4, 1.0), X0Spec("random_on_shell", R0=2.0), "R0=2.0 exceeds the l2_ball"),
+    (l1_ball(4, 1.0), X0Spec("random_sparse", R0=3.0, d=2), "R0=3.0 exceeds the l1_ball"),
+    (sparse_cap(4, 2), X0Spec("random_sparse", R0=1.0, d=3), "d=3 exceeds the sparse_cap's d=2"),
+    (l2_ball(4, 1.0), X0Spec("explicit", vector=(1.0, 1.0, 0.0, 0.0)), "outside the l2_ball"),
+    (l1_ball(4, 1.0), X0Spec("explicit", vector=(0.6, 0.0, -0.6, 0.0)), "outside the l1_ball"),
+    (sparse_cap(4, 2), X0Spec("explicit", vector=(1.0, 1.0, 1.0, 0.0)), "outside the sparse_cap"),
+], ids=["l2-shell", "l1-sparse", "cap-sparse", "l2-explicit", "l1-explicit", "cap-explicit"])
+def test_config_refuses_a_signal_outside_the_set(cset, x0_spec, message):
+    # no draw of these specs lies in the set, so the paper poses no problem for them
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _sparse_config(constraint_set=cset, ensemble=Ensemble("standard_gaussian", 4),
+                       x0_spec=x0_spec, solver=SolverSpec(kind="pgd"))
+
+
+def test_draw_refuses_an_x0_outside_the_set():
+    # a 2-sparse draw of l2 norm 1 has l1 norm above 1 unless one entry vanishes: the
+    # config builds, since a draw could lie in the ball, and the first draw is refused
     config = _sparse_config(
-        constraint_set=cset,
-        ensemble=Ensemble("standard_gaussian", 6),
-        x0_spec=X0Spec(mode="random_on_shell", R0=1.5),
-        N_grid=(20,),
-        solver=SolverSpec(kind="pgd"),
-    )
-    with pytest.raises(ValueError, match="could not place x0 on the shell"):
+        constraint_set=l1_ball(4, 1.0), ensemble=Ensemble("standard_gaussian", 4),
+        x0_spec=X0Spec("random_sparse", R0=1.0, d=2), solver=SolverSpec(kind="pgd"))
+    with pytest.raises(ValueError, match="cell 0, trial 0: the drawn x0 lies outside the l1_ball"):
         run_experiment(config)
+
+
+def test_signals_on_the_boundary_still_build_and_run():
+    # criterion 9's spec, 1-sparse at R0 = radius, lies on the l1 sphere's vertices
+    config = _sparse_config(
+        constraint_set=l1_ball(8, 1.0), ensemble=Ensemble("standard_gaussian", 8),
+        x0_spec=X0Spec("random_sparse", R0=1.0, d=1), N_grid=(40,), trials_per_cell=3,
+        solver=SolverSpec(kind="pgd"))
+    assert all(row.R0 == pytest.approx(1.0) for row in run_experiment(config).rows)
 
 
 def test_summaries_recomputable_from_rows():
@@ -790,12 +825,16 @@ def _configs(draw):
         d=draw(st.integers(1, n)) if set_kind == "sparse_cap" else None,
         radius=draw(_POSITIVE) if set_kind.endswith("_ball") else None,
     )
+    # a signal the set holds: an explicit vector projected into it, a shell inside a ball,
+    # at most the cap's d nonzeros
     mode = draw(st.sampled_from(["explicit", "random_on_shell", "random_sparse"]))
     if mode == "explicit":
-        x0 = X0Spec(mode, vector=tuple(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))))
+        vector = np.array(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+        x0 = X0Spec(mode, vector=tuple(project(cset, vector).tolist()))
     else:
-        x0 = X0Spec(mode, R0=draw(st.floats(0, 10)),
-                    d=draw(st.integers(1, n) if mode == "random_sparse" else st.none()))
+        x0 = X0Spec(mode, R0=min(draw(st.floats(0, 10)), cset.radius or math.inf),
+                    d=draw(st.integers(1, cset.d or n) if mode == "random_sparse"
+                           else st.none()))
     noise = NoiseModel(draw(st.sampled_from(["none", "gaussian", "bounded_uniform"])))
     sigma = st.just(0.0) if noise.kind == "none" else st.floats(0, 5)
     kinds = ["pgd", "oracle"] if set_kind == "sparse_cap" else ["pgd"]  # the oracle enumerates supports

@@ -316,13 +316,13 @@ def test_crit9_packing_query_stops_at_the_first_probe(monkeypatch):
     # centre and candidate to a vertex, so each of the 4 centres counts 1 at the
     # first probe and at 2^-40 of it, and the bisection ends there
     counts = []
-    count = sets.packing_count
+    count = sets._greedy_count
 
-    def counting(*args, **kwargs):
-        counts.append(count(*args, **kwargs))
+    def counting(*args):
+        counts.append(count(*args))
         return counts[-1]
 
-    monkeypatch.setattr(sets, "packing_count", counting)
+    monkeypatch.setattr(sets, "_greedy_count", counting)
     q = FixedPointQuery("qN", 1.0, 4096, shell_R0=1.0, backend="monte_carlo")
     mc = McConfig(draws=512, seed=33, candidates=2048, centers=4)
     assert fixed_point(l1_ball(64, 1.0), q, mc) == 0.0
@@ -832,18 +832,18 @@ def test_packing_query_draws_each_centres_candidates_once(monkeypatch):
     # l1-tN-0.3 above probes 56 radii; each centre's candidates are drawn once
     # for the query and placed again at every probe
     draws, separations = [], []
-    draw, count = sets._candidate_draws, sets.packing_count
+    draw, count = sets._candidate_draws, sets._greedy_count
 
     def counting_draw(*args):
         draws.append(args)
         return draw(*args)
 
-    def counting_count(*args, **kwargs):
+    def counting_count(*args):
         separations.append(args[3])
-        return count(*args, **kwargs)
+        return count(*args)
 
     monkeypatch.setattr(sets, "_candidate_draws", counting_draw)
-    monkeypatch.setattr(sets, "packing_count", counting_count)
+    monkeypatch.setattr(sets, "_greedy_count", counting_count)
     q = FixedPointQuery("tN", 1.0, 256, shell_R0=0.3, backend="monte_carlo")
     assert fixed_point(l1_ball(64, 1.0), q, _PACKING_MC) == 0.35214875334355183
     assert len(draws) == _PACKING_MC.centers
@@ -852,11 +852,11 @@ def test_packing_query_draws_each_centres_candidates_once(monkeypatch):
 
 def test_fixed_point_warns_when_phi_ratio_jumps(monkeypatch):
     # a packing count that jumps as r grows makes Phi(r)/r^2 increase; the
-    # driver looks packing_count up at call time, so the fake is what it probes
-    def jumpy_count(cset, center, ball_radius, separation, **kwargs):
+    # driver looks _greedy_count up at call time, so the fake is what it probes
+    def jumpy_count(cset, center, ball_radius, separation, *rest):
         return 2 if separation < 0.5 else 10**6
 
-    monkeypatch.setattr(sets, "packing_count", jumpy_count)
+    monkeypatch.setattr(sets, "_greedy_count", jumpy_count)
     q = FixedPointQuery("qN", 1.0, 256, shell_R0=0.9, backend="monte_carlo")
     with pytest.warns(UserWarning, match="non-monotone"):
         fixed_point(l2_ball(4, 1.0), q, _PACKING_MC)
@@ -1047,21 +1047,21 @@ def test_fixed_point_width_queries_make_few_probes(monkeypatch, functional, leve
 # packing counts
 
 
+def _count_among(cset, center, pts, ball_radius, separation, shell_R0=None):
+    # the greedy count of `packing_count` over explicit candidate points
+    return sets._greedy_count(cset, np.asarray(center, dtype=float), ball_radius, separation,
+                              shell_R0, np.asarray(pts, dtype=float))
+
+
 def test_packing_two_explicit_points():
     pts = [[0.0, 0.0], [1.0, 0.0]]
-    m = packing_count(
-        sparse_cap(2, 1), [0.0, 0.0], ball_radius=1.5, separation=0.5,
-        candidate_points=pts,
-    )
+    m = _count_among(sparse_cap(2, 1), [0.0, 0.0], pts, ball_radius=1.5, separation=0.5)
     assert m == 2
 
 
 def test_packing_segment_at_exact_separation():
     pts = [[-1.0], [-0.5], [0.0], [0.5], [1.0]]
-    m = packing_count(
-        l1_ball(1, 1.0), [0.0], ball_radius=1.0, separation=0.5,
-        candidate_points=pts,
-    )
+    m = _count_among(l1_ball(1, 1.0), [0.0], pts, ball_radius=1.0, separation=0.5)
     assert m == 5
 
 
@@ -1077,10 +1077,7 @@ def test_packing_wide_separation_caps_at_one():
 
 def test_packing_infeasible_candidates_drop_out():
     pts = [[5.0, 5.0], [-4.0, 0.0]]  # far outside the unit l2 ball
-    m = packing_count(
-        l2_ball(2, 1.0), [0.0, 0.0], ball_radius=1.0, separation=0.1,
-        candidate_points=pts,
-    )
+    m = _count_among(l2_ball(2, 1.0), [0.0, 0.0], pts, ball_radius=1.0, separation=0.1)
     assert m == 0
 
 
@@ -1091,9 +1088,7 @@ def test_packing_greedy_never_beats_exhaustive():
     for trial in range(20):
         pts = random_feasible(cset, rng, 10)
         sep = float(rng.uniform(0.2, 0.8))
-        greedy = packing_count(
-            cset, center, ball_radius=1.0, separation=sep, candidate_points=pts
-        )
+        greedy = _count_among(cset, center, pts, ball_radius=1.0, separation=sep)
         best = 0
         for mask in range(1 << 10):
             idx = [i for i in range(10) if mask >> i & 1]
@@ -1110,20 +1105,16 @@ def test_packing_greedy_never_beats_exhaustive():
 
 def test_packing_shell_zero_keeps_origin_only():
     pts = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.9]]
-    m = packing_count(
-        l2_ball(2, 1.0), [0.0, 0.0], ball_radius=1.0, separation=0.1,
-        shell_R0=0.0, candidate_points=pts,
-    )
+    m = _count_among(l2_ball(2, 1.0), [0.0, 0.0], pts, ball_radius=1.0, separation=0.1,
+                     shell_R0=0.0)
     assert m == 1
 
 
 def test_packing_shell_filter_width():
     # shell_R0 keeps only points whose norm is within 1% of R0
     pts = [[0.9, 0.0], [0.0, 0.895], [0.5, 0.0], [0.0, -0.906]]
-    m = packing_count(
-        l2_ball(2, 1.0), [0.0, 0.0], ball_radius=2.0, separation=0.05,
-        shell_R0=0.9, candidate_points=pts,
-    )
+    m = _count_among(l2_ball(2, 1.0), [0.0, 0.0], pts, ball_radius=2.0, separation=0.05,
+                     shell_R0=0.9)
     assert m == 3
 
 
@@ -1162,8 +1153,8 @@ def test_packing_validation():
         packing_count(cset, [0.0, 0.0], ball_radius=1.0, separation=0.5, candidates=0)
     with pytest.raises(ValueError):
         packing_count(cset, [0.0], ball_radius=1.0, separation=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="candidate_points"):  # the count draws its own
         packing_count(
             cset, [0.0, 0.0], ball_radius=1.0, separation=0.5,
-            candidate_points=[[1.0, 2.0, 3.0]],
+            candidate_points=[[1.0, 2.0]],
         )
